@@ -45,7 +45,6 @@ from .constraint_prop import (
     ConstraintSpec,
     DelayPropagator,
     HermitianBasis,
-    build_hermitian_basis,
     run_delay_propagation,
     schur_rank_check,
     suggest_zero_pattern,

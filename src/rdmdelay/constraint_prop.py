@@ -12,7 +12,7 @@ trace-1, and exactly zero where declared, at no accuracy cost.  The raw
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,22 +47,18 @@ class HermitianBasis:
             raise ValidationError(f"n_c must be >= 1, got {n_c}")
         self.n_c = n_c
         self.pairs = [(i, j) for i in range(n_c) for j in range(i + 1, n_c)]
-        mats = []
-        for i in range(n_c):
-            m = np.zeros((n_c, n_c), dtype=complex)
-            m[i, i] = 1.0
-            mats.append(m)
-        for i, j in self.pairs:
-            m = np.zeros((n_c, n_c), dtype=complex)
-            m[i, j] = m[j, i] = 1.0
-            mats.append(m)
-        for i, j in self.pairs:
-            m = np.zeros((n_c, n_c), dtype=complex)
-            m[i, j] = 1.0j
-            m[j, i] = -1.0j
-            mats.append(m)
-        self.matrices = mats
-        self.s_tilde = np.column_stack([flatten(m) for m in mats])
+        # column-major vec positions of the diagonal and of each pair's (i, j), (j, i)
+        self._diag_pos = np.arange(n_c) * (n_c + 1)
+        self._upper_pos = np.array([i + n_c * j for i, j in self.pairs], dtype=int)
+        self._lower_pos = np.array([j + n_c * i for i, j in self.pairs], dtype=int)
+        self._gathers: dict = {}
+        n_p = len(self.pairs)
+        sym, anti = n_c + np.arange(n_p), n_c + n_p + np.arange(n_p)
+        self.s_tilde = np.zeros((n_c * n_c, n_c * n_c), dtype=complex)
+        self.s_tilde[self._diag_pos, np.arange(n_c)] = 1.0
+        self.s_tilde[self._upper_pos, sym] = self.s_tilde[self._lower_pos, sym] = 1.0
+        self.s_tilde[self._upper_pos, anti] = 1.0j
+        self.s_tilde[self._lower_pos, anti] = -1.0j
 
     @property
     def dim(self) -> int:
@@ -70,24 +66,27 @@ class HermitianBasis:
 
     def coords(self, z: np.ndarray) -> np.ndarray:
         """Real coordinates of a Hermitian matrix (exact, no least squares)."""
-        z = as_complex_matrix(z, "Z")
-        n = self.n_c
-        x = np.empty(n * n)
-        x[:n] = np.real(np.diag(z))
-        off = np.array([z[i, j] for i, j in self.pairs])
-        n_p = len(self.pairs)
-        x[n:n + n_p] = off.real
-        x[n + n_p:] = off.imag
-        return x
+        v = flatten(z)
+        off = v[self._upper_pos]
+        return np.concatenate([v[self._diag_pos].real, off.real, off.imag])
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
         """Hermitian matrix from real coordinates."""
         x = np.asarray(x, dtype=float)
         return unflatten(self.s_tilde @ x, self.n_c, self.n_c)
 
-
-def build_hermitian_basis(n_c: int) -> HermitianBasis:
-    return HermitianBasis(n_c)
+    def kept_vec_positions(self, spec: "ConstraintSpec"):
+        """Vec positions (diagonal, upper, lower) of spec's kept diagonal
+        entries and of its kept pairs' two entries, built once per spec."""
+        plan = self._gathers.get(spec)
+        if plan is None:
+            n, n_p = self.n_c, len(self.pairs)
+            kept = np.array(spec.kept_coords(self), dtype=int)
+            pairs = kept[(kept >= n) & (kept < n + n_p)] - n
+            plan = (self._diag_pos[kept[kept < n]], self._upper_pos[pairs],
+                    self._lower_pos[pairs])
+            self._gathers[spec] = plan
+        return plan
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,8 @@ def assemble_constrained_system(m: np.ndarray, basis: HermitianBasis,
     Returns (M'', b_ell):  M' = M S~ with the pivot column subtracted from
     the other retained diagonal columns and then deleted; M'' additionally
     drops the zero-pattern columns; b_ell = q_hist - trace_value * (M S~)
-    pivot column.
+    pivot column.  S~ has at most two nonzeros per column, so the columns of
+    M S~ are gathered from M rather than multiplied out.
     """
     m = as_complex_matrix(m, "M")
     if m.shape[1] != basis.dim:
@@ -170,16 +170,11 @@ def assemble_constrained_system(m: np.ndarray, basis: HermitianBasis,
     q_hist = np.asarray(q_hist, dtype=complex).ravel()
     if q_hist.size != m.shape[0]:
         raise ValidationError(f"q_hist has length {q_hist.size}, expected {m.shape[0]}")
-    ms = m @ basis.s_tilde
-    pivot_col = ms[:, spec.pivot].copy()
-    deleted = set(spec.deleted_coords(basis))
-    cols = []
-    for j in spec.kept_coords(basis):
-        col = ms[:, j]
-        if j < spec.n_c:  # retained diagonal coordinate
-            col = col - pivot_col
-        cols.append(col)
-    m_red = np.column_stack(cols) if cols else np.zeros((m.shape[0], 0), dtype=complex)
+    diag, upper, lower = basis.kept_vec_positions(spec)
+    pivot_col = m[:, spec.pivot * (basis.n_c + 1)]
+    u, lo = m[:, upper], m[:, lower]
+    m_red = np.concatenate([m[:, diag] - pivot_col[:, None], u + lo, 1j * (u - lo)],
+                           axis=1)
     b_ell = q_hist - spec.trace_value * pivot_col
     return m_red, b_ell
 
@@ -249,9 +244,14 @@ class DelayPropagator:
         if self.spec.n_c != self.n_c:
             raise ValidationError("constraint spec dimension mismatch")
         self.b_tilde = b.matricized
-        depth = cfg.depth
+        depth, n, k2 = cfg.depth, self.n_c, self.k_orb ** 2
         self._q_hist = deque(maxlen=depth + 1)  # vec(Q), newest last
-        self._cprods = []  # _cprods[m-1] = C_m(t): product of the last m step unitaries
+        # _cprods[m-1] = C_m(t), the product of the last m step unitaries
+        self._cprods = np.empty((depth, n, n), dtype=complex)
+        # _memory[j, r] = C_j B_r C_j^dagger with B_r row r of B~ read row-major;
+        # reshaped to ((ell+1) K^2, N_C^2) the stack is the memory matrix M
+        self._memory = np.empty((cfg.ell + 1, k2, n, n), dtype=complex)
+        self._memory[0] = self.b_tilde.reshape(k2, n, n)
         self._step_index = None
         self.records: list[StepRecord] = []
 
@@ -274,25 +274,23 @@ class DelayPropagator:
                 raise ValidationError(f"seed Q has shape {q.shape}")
             self._q_hist.append(flatten(q))
         # forward products C_m = E(t - dt) ... E(t - m dt), newest factor left
-        prods = []
-        acc = None
-        for m in range(1, depth + 1):
+        acc = np.eye(self.n_c)
+        for m in range(depth):
             e = matexp_hermitian(
-                self.system.hamiltonian((start_step + depth - m) * self.dt),
+                self.system.hamiltonian((start_step + depth - 1 - m) * self.dt),
                 -1j * self.dt)
-            acc = e.copy() if acc is None else acc @ e
-            prods.append(acc.copy())
-        self._cprods = prods  # prods[m-1] = C_m(t)
+            acc = np.matmul(acc, e, out=self._cprods[m])
         self._step_index = start_step + depth
 
     # -- stepping ---------------------------------------------------------
 
     def _memory_matrix(self) -> np.ndarray:
-        blocks = [self.b_tilde]
-        for j in range(1, self.cfg.ell + 1):
-            c = self._cprods[j * self.cfg.stride - 1]
-            blocks.append(self.b_tilde @ np.kron(c.T, c.conj().T))
-        return np.vstack(blocks)
+        """M, as a view of a buffer that the next call overwrites."""
+        n, k2 = self.n_c, self.k_orb ** 2
+        c = self._cprods[self.cfg.stride - 1::self.cfg.stride]  # C_j, j = 1..ell
+        b_c = self._memory[0].reshape(k2 * n, n) @ c.conj().transpose(0, 2, 1)
+        np.matmul(c[:, None], b_c.reshape(-1, k2, n, n), out=self._memory[1:])
+        return self._memory.reshape(-1, n * n)
 
     def _stacked_history(self) -> np.ndarray:
         return np.concatenate(
@@ -321,15 +319,16 @@ class DelayPropagator:
         q_next = unflatten(q_next_vec, self.k_orb, self.k_orb)
         # advance history
         if self.cfg.depth > 0:
-            self._cprods = [e] + [e @ c for c in self._cprods[:self.cfg.depth - 1]]
+            # C_{m+1} = E C_m; numpy buffers the overlapping input
+            np.matmul(e, self._cprods[:-1], out=self._cprods[1:])
+            self._cprods[0] = e
         self._q_hist.append(q_next_vec)
         self._step_index += 1
-        herm = np.abs(p_hat - p_hat.conj().T).max()
         min_eig = float(np.linalg.eigvalsh((p_hat + p_hat.conj().T) / 2).min())
         self.records.append(StepRecord(
             step=self._step_index, t=t, residual=residual, effective_rank=rank,
             condition_number=cond, trace_q=float(np.trace(q_next).real),
-            hermiticity_defect_q=float(np.abs(q_next - q_next.conj().T).max()),
+            hermiticity_defect_q=hermiticity_defect(q_next),
             min_eig_p=min_eig))
         self.last_p_hat = p_hat
         return q_next

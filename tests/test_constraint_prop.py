@@ -4,10 +4,10 @@ import pytest
 from rdmdelay.ci_model import FieldProfile, build_B
 from rdmdelay.constraint_prop import (
     ConstraintSpec,
+    DelayPropagator,
     HermitianBasis,
     StepRecord,
     assemble_constrained_system,
-    build_hermitian_basis,
     run_delay_propagation,
     schur_rank_check,
     solve_constrained,
@@ -22,8 +22,8 @@ rng = np.random.default_rng(4114)
 
 
 def test_basis_n2_explicit():
-    basis = build_hermitian_basis(2)
-    mats = basis.matrices
+    basis = HermitianBasis(2)
+    mats = [c.reshape(2, 2, order="F") for c in basis.s_tilde.T]
     assert len(mats) == 4
     assert np.array_equal(mats[0], [[1, 0], [0, 0]])
     assert np.array_equal(mats[1], [[0, 0], [0, 1]])
@@ -33,12 +33,11 @@ def test_basis_n2_explicit():
 
 def test_basis_n3_orthogonal():
     basis = HermitianBasis(3)
-    assert len(basis.matrices) == 9
-    for i, a in enumerate(basis.matrices):
-        for j, b in enumerate(basis.matrices):
-            ip = np.trace(a.conj().T @ b).real
-            if i != j:
-                assert abs(ip) < 1e-14
+    assert basis.s_tilde.shape == (9, 9)
+    # <S^i, S^j> = tr(S^i^dagger S^j) = the inner product of the vec columns
+    gram = (basis.s_tilde.conj().T @ basis.s_tilde).real
+    off = gram - np.diag(np.diag(gram))
+    assert np.abs(off).max() < 1e-14
 
 
 def test_basis_round_trip_exact():
@@ -112,6 +111,39 @@ def test_pivot_moves_past_declared_zero_diagonal():
     x, _, _, _ = solve_constrained(m_red, b_ell, 1e-12)
     p_hat = basis.matrix(spec.reconstruct(x, basis))
     assert np.max(np.abs(p_hat - p)) < 1e-10
+
+
+def _assemble_dense(m, basis, spec, q_hist):
+    """Reference assembly: the dense product M S~, then a loop over columns."""
+    ms = m @ basis.s_tilde
+    pivot_col = ms[:, spec.pivot].copy()
+    cols = [ms[:, j] - pivot_col if j < spec.n_c else ms[:, j]
+            for j in spec.kept_coords(basis)]
+    m_red = np.column_stack(cols) if cols else np.zeros((m.shape[0], 0), dtype=complex)
+    return m_red, q_hist - spec.trace_value * pivot_col
+
+
+@pytest.mark.parametrize("zeros", [
+    frozenset(),
+    frozenset({(1, j) for j in range(4)} | {(0, 3)}),
+    frozenset({(3, 3), (2, 3)}),  # the pivot moves past a zero diagonal
+], ids=["default", "declared-zeros", "pivot-moves"])
+def test_gathered_assembly_matches_dense_product(zeros):
+    n = 4
+    spec = ConstraintSpec(n, zero_pairs=zeros)
+    basis = HermitianBasis(n)
+    m = rng.standard_normal((24, n * n)) + 1j * rng.standard_normal((24, n * n))
+    q_hist = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    m_red, b_ell = assemble_constrained_system(m, basis, spec, q_hist)
+    m_ref, b_ref = _assemble_dense(m, basis, spec, q_hist)
+    # S~ holds only 0, 1 and +-1j, so both assemblies round alike
+    assert np.array_equal(m_red, m_ref)
+    assert np.array_equal(b_ell, b_ref)
+    x, _, _, _ = solve_constrained(m_red, b_ell, 1e-12)
+    p_hat = basis.matrix(spec.reconstruct(x, basis))
+    for i, j in zeros:
+        assert p_hat[i, j] == 0.0 and p_hat[j, i] == 0.0
+    assert np.trace(p_hat).real == pytest.approx(1.0, abs=1e-14)
 
 
 def test_step_record_csv_row_round_trip():
@@ -203,3 +235,44 @@ def test_schur_rank_check_implication_over_random_instances():
         report = schur_rank_check(bt, d1)
         if report["condition_holds"]:
             assert report["stack_rank_svd"] == 2 * 4
+
+
+class _KronPropagator(DelayPropagator):
+    """Memory blocks as dense B~ (C^T kron C^dagger) products: the reference."""
+
+    def _memory_matrix(self):
+        blocks = [self.b_tilde]
+        for j in range(1, self.cfg.ell + 1):
+            c = self._cprods[j * self.cfg.stride - 1]
+            blocks.append(self.b_tilde @ np.kron(c.T, c.conj().T))
+        return np.vstack(blocks)
+
+
+# The rank-deficient case keeps singular values down to r_tol * sigma_1, so
+# rounding-level differences in M move its solution by up to cond * eps per
+# step (cond 9e10): there the two paths are compared at the accuracy of the
+# scheme, elsewhere at rounding level.
+@pytest.mark.parametrize("n_c, k, seed, h0_scale, dt, ell, stride, r_tol, rank, q_tol", [
+    (4, 2, 3, 1.0, 0.08268, 12, 1, 1e-12, 15, 1e-12),
+    (16, 4, 5, 10.0, 0.008268, 8, 1, 1e-12, 135, 1e-3),
+    (16, 4, 5, 10.0, 0.008268, 32, 8, 1e-6, 255, 1e-12),
+])
+def test_memory_matrix_matches_kron_blocks(n_c, k, seed, h0_scale, dt, ell, stride,
+                                           r_tol, rank, q_tol):
+    s = generate_synthetic_system(n_c, k, seed=seed, h0_scale=h0_scale)
+    b = build_B(s)
+    cfg = DelayConfig(ell=ell, stride=stride, r_tol=r_tol)
+    n_delay = 6
+    q_true = reduced_density_series(propagate_coefficients(s, dt, cfg.depth + n_delay), b)
+    fast = DelayPropagator(s, b, cfg, dt)
+    ref = _KronPropagator(s, b, cfg, dt)
+    for prop in (fast, ref):
+        prop.warm_start([q_true[j] for j in range(cfg.depth + 1)])
+    q_fast, q_ref = [], []
+    for _ in range(n_delay):
+        assert np.abs(fast._memory_matrix() - ref._memory_matrix()).max() < 1e-12
+        q_fast.append(fast.step())
+        q_ref.append(ref.step())
+    assert [r.effective_rank for r in fast.records] == [rank] * n_delay
+    assert [r.effective_rank for r in ref.records] == [rank] * n_delay
+    assert np.abs(np.array(q_fast) - np.array(q_ref)).max() < q_tol
