@@ -12,7 +12,6 @@ from .numkit import (
     NumericalError,
     ValidationError,
     flatten,
-    kron,
     matexp_hermitian,
     pinv_thresholded,
     unflatten,

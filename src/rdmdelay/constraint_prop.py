@@ -182,14 +182,15 @@ def assemble_constrained_system(m: np.ndarray, basis: HermitianBasis,
 def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float):
     """Real least-squares solve of M'' x = b_ell.
 
-    Stacking real and imaginary parts keeps the solution exactly real, so
-    the reconstructed density is exactly Hermitian.  An exact real solution
-    of the complex system also solves the stacked system exactly.
+    Stacking real and imaginary parts keeps the solution exactly real (the
+    pseudoinverse is computed in real arithmetic), so the reconstructed
+    density is exactly Hermitian.  An exact real solution of the complex
+    system also solves the stacked system exactly.
     """
     a = np.vstack([m_red.real, m_red.imag])
     rhs = np.concatenate([b_ell.real, b_ell.imag])
     pinv, rank, cond = pinv_thresholded(a, r_tol)
-    x = np.real(pinv @ rhs)
+    x = pinv @ rhs
     residual = float(np.linalg.norm(m_red @ x - b_ell))
     return x, residual, rank, cond
 
@@ -313,6 +314,9 @@ class DelayPropagator:
             vec_p = pinv @ q_hist
             residual = float(np.linalg.norm(m @ vec_p - q_hist))
             p_hat = unflatten(vec_p, self.n_c, self.n_c)
+        if not np.all(np.isfinite(p_hat)):
+            raise NumericalError(f"step {self._step_index + 1} (t = {t:.6g}): the "
+                                 f"{self.mode} solve stage produced non-finite values")
         e = matexp_hermitian(self.system.hamiltonian(t), -1j * self.dt)
         p_next = e @ p_hat @ e.conj().T
         q_next_vec = self.b_tilde @ flatten(p_next)

@@ -1,9 +1,12 @@
-"""Dense complex linear-algebra kernels shared by the whole package.
+"""Dense linear-algebra kernels shared by the whole package.
 
-All routines operate on plain numpy arrays (complex128).  The canonical
-flattening convention is column-major ("F" order), so that for conformable
-matrices vec(A X B) = (B^T kron A) vec(X); row-major flattening exists only
-for exporting tensors in the layout used by external tabulations.
+All routines operate on plain numpy arrays, complex128 unless stated
+otherwise: `pinv_thresholded` keeps real input real (float64), so the
+stacked real least-squares system of the constrained solve never pays for
+complex arithmetic.  The canonical flattening convention is column-major
+("F" order), so that for conformable matrices vec(A X B) = (B^T kron A)
+vec(X); row-major flattening exists only for exporting tensors in the
+layout used by external tabulations.
 """
 
 from __future__ import annotations
@@ -24,11 +27,14 @@ class NumericalError(RuntimeError):
     """Raised when a numerical procedure fails (singularity, divergence)."""
 
 
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+def _require_matrix(a: np.ndarray, name: str) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValidationError(f"{name} must be a 2-d array, got shape {a.shape}")
     return a
+
+
+def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
+    return _require_matrix(np.asarray(a, dtype=complex), name)
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -44,11 +50,6 @@ def require_hermitian(a, rtol: float = 1e-12, name: str = "matrix") -> np.ndarra
     if hermiticity_defect(a) > rtol * scale:
         raise ValidationError(f"{name} is not Hermitian within {rtol:g} (relative)")
     return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product a (x) b."""
-    return np.kron(as_complex_matrix(a, "a"), as_complex_matrix(b, "b"))
 
 
 def matexp_hermitian(h, scale: complex) -> np.ndarray:
@@ -74,8 +75,11 @@ def pinv_thresholded(m, r_tol: float) -> PinvResult:
     Singular values sigma_j are kept iff sigma_j > r_tol * sigma_1 (descending
     order); discarded ones contribute zero.  Returns the pseudoinverse, the
     count of retained singular values, and sigma_1 / sigma_min-retained.
+    Real input gives a real (float64) pseudoinverse from a real SVD; any
+    complex input is computed in complex128.
     """
-    m = as_complex_matrix(m, "m")
+    m = np.asarray(m)
+    m = _require_matrix(m.astype(complex if np.iscomplexobj(m) else float, copy=False), "m")
     if r_tol < 0:
         raise ValidationError(f"r_tol must be nonnegative, got {r_tol}")
     if not np.any(m):

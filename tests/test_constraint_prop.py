@@ -16,7 +16,7 @@ from rdmdelay.constraint_prop import (
 from rdmdelay.delay_core import DelayConfig
 from rdmdelay.ground_truth import propagate_coefficients, reduced_density_series
 from rdmdelay.harness import generate_synthetic_system
-from rdmdelay.numkit import flatten, random_hermitian, random_unitary
+from rdmdelay.numkit import NumericalError, flatten, random_hermitian, random_unitary
 
 rng = np.random.default_rng(4114)
 
@@ -183,6 +183,21 @@ def test_raw_and_constrained_agree_when_well_posed():
     q_raw, _ = run_delay_propagation(s, b, dt, n, DelayConfig(ell=12), q_true,
                                      mode="raw")
     assert np.max(np.abs(q_con - q_raw)) < 1e-8
+
+
+@pytest.mark.parametrize("mode", ["constrained", "raw"])
+def test_non_finite_history_raises_numerical_error(mode):
+    s = generate_synthetic_system(4, 2, seed=3)
+    b = build_B(s)
+    dt, cfg = 0.08268, DelayConfig(ell=4)
+    q_true = reduced_density_series(propagate_coefficients(s, dt, cfg.depth + 2), b)
+    prop = DelayPropagator(s, b, cfg, dt, mode=mode)
+    prop.warm_start([q_true[j] for j in range(cfg.depth + 1)])
+    prop.step()
+    prop._q_hist[-1][1] = np.nan
+    with pytest.raises(NumericalError, match=rf"step {cfg.depth + 2} .*{mode} solve stage"):
+        prop.step()
+    assert len(prop.records) == 1
 
 
 def test_zero_field_propagation_not_constant_but_exact():

@@ -9,7 +9,7 @@ from rdmdelay.ground_truth import (
     reduced_density_series,
 )
 from rdmdelay.harness import generate_synthetic_system
-from rdmdelay.numkit import ValidationError, flatten, kron, matexp_hermitian
+from rdmdelay.numkit import ValidationError, flatten, matexp_hermitian
 
 rng = np.random.default_rng(64)
 
@@ -72,7 +72,7 @@ def test_kronecker_step_consistency():
     for j in range(20):
         h = s.hamiltonian(j * dt)
         e = matexp_hermitian(h, -1j * dt)
-        prop = kron(e.conj(), e)
+        prop = np.kron(e.conj(), e)
         assert np.max(np.abs(prop @ flatten(ps[j]) - flatten(ps[j + 1]))) < 1e-11
 
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from rdmdelay.ci_model import build_B
+from rdmdelay.constraint_prop import DelayPropagator, assemble_constrained_system
+from rdmdelay.delay_core import DelayConfig
+from rdmdelay.ground_truth import propagate_coefficients, reduced_density_series
+from rdmdelay.harness import generate_synthetic_system
 from rdmdelay.numkit import (
     ValidationError,
     flatten,
     hermiticity_defect,
-    kron,
     matexp_hermitian,
     pinv_thresholded,
     random_hermitian,
@@ -18,14 +22,14 @@ rng = np.random.default_rng(81)
 
 
 def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_kron_basis_vector_block():
     a = rng.standard_normal((3, 3))
     e11 = np.zeros((2, 2))
     e11[0, 0] = 1.0
-    out = kron(e11, a)
+    out = np.kron(e11, a)
     assert np.allclose(out[:3, :3], a)
     assert np.count_nonzero(out[3:, :]) == 0
     assert np.count_nonzero(out[:, 3:]) == 0
@@ -34,7 +38,7 @@ def test_kron_basis_vector_block():
 def test_kron_matches_loop_definition():
     a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    out = kron(a, b)
+    out = np.kron(a, b)
     for i in range(2):
         for j in range(3):
             for p in range(3):
@@ -95,6 +99,79 @@ def test_pinv_left_inverse_full_column_rank():
     res = pinv_thresholded(m, 1e-12)
     assert np.max(np.abs(res.pinv @ m - np.eye(4))) < 1e-10
     assert res.effective_rank == 4
+
+
+def _pinv_complex_reference(m, r_tol):
+    """The thresholded pseudoinverse with every input cast to complex128."""
+    m = np.asarray(m, dtype=complex)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    keep = s > r_tol * s[0]
+    rank = int(np.count_nonzero(keep))
+    s_inv = np.zeros_like(s)
+    s_inv[keep] = 1.0 / s[keep]
+    cond = float(s[0] / s[:rank].min())
+    return vh.conj().T @ (s_inv[:, None] * u.conj().T), rank, cond
+
+
+def _real_case(name):
+    """(real matrix, right-hand side, r_tol, expected rank)."""
+    local = np.random.default_rng(2718)
+    if name == "full-rank":
+        m = local.standard_normal((40, 12))
+        return m, local.standard_normal(40), 1e-12, 12
+    if name == "duplicate-column":
+        m = local.standard_normal((40, 12))
+        m[:, 7] = m[:, 2]
+        return m, local.standard_normal(40), 1e-12, 11
+    if name == "planted-threshold":
+        # two singular values 1.5x above r_tol * sigma_1, two 1.5x below
+        r_tol = 1e-4
+        sv = np.concatenate([np.logspace(0, -3, 8), r_tol * np.array([2.0, 1.5, 1 / 1.5, 0.5])])
+        u, _ = np.linalg.qr(local.standard_normal((50, sv.size)))
+        v, _ = np.linalg.qr(local.standard_normal((sv.size, sv.size)))
+        return (u * sv) @ v.T, local.standard_normal(50), r_tol, 10
+    # the real stacked system of the first constrained delay step at N_C=16,
+    # ell 32, stride 8 (criterion 7's configuration)
+    s = generate_synthetic_system(16, 4, seed=5, h0_scale=10.0)
+    b = build_B(s)
+    cfg = DelayConfig(ell=32, stride=8, r_tol=1e-6)
+    dt = 0.008268
+    q_true = reduced_density_series(propagate_coefficients(s, dt, cfg.depth), b)
+    prop = DelayPropagator(s, b, cfg, dt)
+    prop.warm_start(list(q_true))
+    m_red, b_ell = assemble_constrained_system(
+        prop._memory_matrix(), prop.basis, prop.spec, prop._stacked_history())
+    return (np.vstack([m_red.real, m_red.imag]),
+            np.concatenate([b_ell.real, b_ell.imag]), cfg.r_tol, 255)
+
+
+@pytest.mark.parametrize("name", ["full-rank", "duplicate-column", "planted-threshold",
+                                  "stacked-nc16-ell32-k8"])
+def test_pinv_real_input_matches_complex_reference(name):
+    m, rhs, r_tol, rank = _real_case(name)
+    res = pinv_thresholded(m, r_tol)
+    ref_pinv, ref_rank, ref_cond = _pinv_complex_reference(m, r_tol)
+    assert res.pinv.dtype == np.float64
+    assert res.effective_rank == ref_rank == rank
+    assert abs(res.condition_number - ref_cond) <= 1e-10 * ref_cond
+    x, x_ref = res.pinv @ rhs, ref_pinv @ rhs
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+# a duplicated last column: rank 7 of 8 when tall or square; the wide case
+# truncates at r_tol 0.3 instead
+@pytest.mark.parametrize("shape, r_tol, rank", [((30, 8), 1e-12, 7), ((8, 8), 1e-12, 7),
+                                                ((6, 9), 0.3, 5)])
+def test_pinv_complex_input_bitwise_equal_to_reference(shape, r_tol, rank):
+    local = np.random.default_rng(314)
+    m = local.standard_normal(shape) + 1j * local.standard_normal(shape)
+    m[:, -1] = m[:, 0]
+    res = pinv_thresholded(m, r_tol)
+    ref_pinv, ref_rank, ref_cond = _pinv_complex_reference(m, r_tol)
+    assert res.pinv.dtype == np.complex128
+    assert np.array_equal(res.pinv, ref_pinv)
+    assert (res.effective_rank, res.condition_number) == (ref_rank, ref_cond)
+    assert ref_rank == rank
 
 
 def test_pinv_negative_tolerance_rejected():
