@@ -105,12 +105,19 @@ class DeterminantIndexMap:
         return self.n_spin_orbitals // 2
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class CiSystem:
     """A TDCI system: CI coefficients, determinant map, Hamiltonian data, field.
 
     H(t) = H0 + f(t) * M_dip, with H0 = diag(h0_diag) unless a dense h0_full
     is supplied (needed for one-electron systems with non-diagonalizing C).
+    h0_diag, m_dip and h0_full are stored as read-only copies, so H(t) is
+    fixed for the life of the instance.
     """
 
     n_electrons: int
@@ -134,17 +141,19 @@ class CiSystem:
             raise ValidationError("index map / n_electrons mismatch")
         if self.index_map.n_orbitals != self.n_orbitals:
             raise ValidationError("index map / n_orbitals mismatch")
-        h0 = np.asarray(self.h0_diag, dtype=float)
+        h0 = np.array(self.h0_diag, dtype=float)
         if h0.shape != (n_c,) or not np.all(np.isfinite(h0)):
             raise ValidationError("h0_diag must be a finite real vector of length N_C")
-        object.__setattr__(self, "h0_diag", h0)
-        m = as_complex_matrix(self.m_dip, "M_dip")
-        require_hermitian(m, name="M_dip")
-        object.__setattr__(self, "m_dip", m)
+        object.__setattr__(self, "h0_diag", _read_only(h0))
+        m = require_hermitian(np.array(self.m_dip, dtype=complex), name="M_dip")
+        object.__setattr__(self, "m_dip", _read_only(m))
         if self.h0_full is not None:
-            hf = as_complex_matrix(self.h0_full, "H0")
-            require_hermitian(hf, name="H0")
-            object.__setattr__(self, "h0_full", hf)
+            hf = require_hermitian(np.array(self.h0_full, dtype=complex), name="H0")
+            object.__setattr__(self, "h0_full", _read_only(hf))
+        # exp(-i H(t) dt) keyed by (f(t), dt), filled by ground_truth.step_unitary.
+        # H(t) depends on t only through f(t), and the arrays it is built from
+        # are read-only copies, so an entry cannot go stale.
+        object.__setattr__(self, "_step_unitaries", {})
 
     @property
     def n_configs(self) -> int:

@@ -20,13 +20,14 @@ import scipy.linalg
 
 from .ci_model import BTensor, CiSystem
 from .delay_core import DelayConfig
+from .ground_truth import step_unitary
 from .numkit import (
     NumericalError,
     ValidationError,
     as_complex_matrix,
     flatten,
     hermiticity_defect,
-    matexp_hermitian,
+    matexp_hermitian,  # noqa: F401  kept only for perfbench/tracing.py, which wraps it
     pinv_thresholded,
     unflatten,
 )
@@ -51,6 +52,7 @@ class HermitianBasis:
         self._diag_pos = np.arange(n_c) * (n_c + 1)
         self._upper_pos = np.array([i + n_c * j for i, j in self.pairs], dtype=int)
         self._lower_pos = np.array([j + n_c * i for i, j in self.pairs], dtype=int)
+        self._kept: dict = {}
         self._gathers: dict = {}
         n_p = len(self.pairs)
         sym, anti = n_c + np.arange(n_p), n_c + n_p + np.arange(n_p)
@@ -75,13 +77,22 @@ class HermitianBasis:
         x = np.asarray(x, dtype=float)
         return unflatten(self.s_tilde @ x, self.n_c, self.n_c)
 
+    def kept_coord_index(self, spec: "ConstraintSpec") -> np.ndarray:
+        """spec.kept_coords(self) as a read-only index array, built once per spec."""
+        kept = self._kept.get(spec)
+        if kept is None:
+            kept = np.array(spec.kept_coords(self), dtype=int)
+            kept.flags.writeable = False
+            self._kept[spec] = kept
+        return kept
+
     def kept_vec_positions(self, spec: "ConstraintSpec"):
         """Vec positions (diagonal, upper, lower) of spec's kept diagonal
         entries and of its kept pairs' two entries, built once per spec."""
         plan = self._gathers.get(spec)
         if plan is None:
             n, n_p = self.n_c, len(self.pairs)
-            kept = np.array(spec.kept_coords(self), dtype=int)
+            kept = self.kept_coord_index(spec)
             pairs = kept[(kept >= n) & (kept < n + n_p)] - n
             plan = (self._diag_pos[kept[kept < n]], self._upper_pos[pairs],
                     self._lower_pos[pairs])
@@ -144,7 +155,7 @@ class ConstraintSpec:
     def reconstruct(self, x_reduced: np.ndarray, basis: HermitianBasis) -> np.ndarray:
         """Affine map from the reduced solution back to all n_c^2 coordinates."""
         x = np.zeros(basis.dim)
-        kept = self.kept_coords(basis)
+        kept = basis.kept_coord_index(self)
         if len(x_reduced) != len(kept):
             raise ValidationError(
                 f"reduced coordinate vector has length {len(x_reduced)}, "
@@ -227,8 +238,8 @@ class DelayPropagator:
 
     def __init__(self, system: CiSystem, b: BTensor, cfg: DelayConfig, dt: float,
                  mode: str = "constrained", spec: ConstraintSpec | None = None):
-        if dt <= 0:
-            raise ValidationError(f"dt must be positive, got {dt}")
+        if not 0 < dt < np.inf:
+            raise ValidationError(f"dt must be positive and finite, got {dt}")
         if mode not in ("constrained", "raw"):
             raise ValidationError(f"mode must be 'constrained' or 'raw', got {mode!r}")
         if b.n_configs != system.n_configs or b.n_orbitals != system.n_orbitals:
@@ -261,8 +272,11 @@ class DelayPropagator:
     def warm_start(self, q_seed: Sequence[np.ndarray], start_step: int = 0):
         """Seed the history with Q at steps start_step .. start_step + ell*k.
 
-        Also precomputes the step unitaries interior to the seed window so
-        the first memory stack is available immediately.
+        Also forms the products of the step unitaries interior to the seed
+        window, so that the first memory stack is available immediately.
+        The unitaries come from `ground_truth.step_unitary`, so those the
+        ground truth has already computed on the same system and dt are
+        reused rather than computed again.
         """
         depth = self.cfg.depth
         if len(q_seed) != depth + 1:
@@ -277,9 +291,7 @@ class DelayPropagator:
         # forward products C_m = E(t - dt) ... E(t - m dt), newest factor left
         acc = np.eye(self.n_c)
         for m in range(depth):
-            e = matexp_hermitian(
-                self.system.hamiltonian((start_step + depth - 1 - m) * self.dt),
-                -1j * self.dt)
+            e = step_unitary(self.system, (start_step + depth - 1 - m) * self.dt, self.dt)
             acc = np.matmul(acc, e, out=self._cprods[m])
         self._step_index = start_step + depth
 
@@ -317,7 +329,7 @@ class DelayPropagator:
         if not np.all(np.isfinite(p_hat)):
             raise NumericalError(f"step {self._step_index + 1} (t = {t:.6g}): the "
                                  f"{self.mode} solve stage produced non-finite values")
-        e = matexp_hermitian(self.system.hamiltonian(t), -1j * self.dt)
+        e = step_unitary(self.system, t, self.dt)
         p_next = e @ p_hat @ e.conj().T
         q_next_vec = self.b_tilde @ flatten(p_next)
         q_next = unflatten(q_next_vec, self.k_orb, self.k_orb)

@@ -9,6 +9,7 @@ Liouville-von Neumann equation in the interacting case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .numkit import ValidationError, as_complex_matrix, matexp_hermitian
 __all__ = [
     "FieldProfile",
     "GroundTruthRun",
+    "step_unitary",
     "propagate_coefficients",
     "full_density_series",
     "reduced_density_series",
@@ -42,6 +44,27 @@ class GroundTruthRun:
         return self.dt * np.arange(self.coefficients.shape[0])
 
 
+def step_unitary(system: CiSystem, t: float, dt: float) -> np.ndarray:
+    """The step unitary exp(-i H(t) dt), computed once per system for each
+    distinct (f(t), dt).
+
+    H(t) = H0 + f(t) M_dip depends on t only through the field value, so all
+    steps after the field cutoff (and t = 0) share one entry.  The entries
+    live on the system instance and are returned read-only; each costs
+    N_C^2 complex numbers.  The ground truth and the delay propagators take
+    their unitaries from here.
+    """
+    f = system.field(t)
+    # 0.0 and -0.0 compare equal, but H0 + f M_dip keeps the sign of a zero
+    key = (f, math.copysign(1.0, f), dt)
+    u = system._step_unitaries.get(key)
+    if u is None:
+        u = matexp_hermitian(system.hamiltonian(t), -1j * dt)
+        u.flags.writeable = False
+        system._step_unitaries[key] = u
+    return u
+
+
 def propagate_coefficients(system: CiSystem, dt: float, n_steps: int,
                            a0: np.ndarray | None = None) -> GroundTruthRun:
     """Left-endpoint exponential stepping of the CI coefficients.
@@ -49,8 +72,8 @@ def propagate_coefficients(system: CiSystem, dt: float, n_steps: int,
     a(0) defaults to the first basis vector (the system prepared in the
     lowest CI state when H0 is diagonal and sorted).
     """
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
     if n_steps < 0:
         raise ValidationError(f"n_steps must be nonnegative, got {n_steps}")
     n_c = system.n_configs
@@ -67,8 +90,7 @@ def propagate_coefficients(system: CiSystem, dt: float, n_steps: int,
     traj = np.empty((n_steps + 1, n_c), dtype=complex)
     traj[0] = a
     for j in range(n_steps):
-        u = matexp_hermitian(system.hamiltonian(j * dt), -1j * dt)
-        a = u @ a
+        a = step_unitary(system, j * dt, dt) @ a
         traj[j + 1] = a
     return GroundTruthRun(system=system, dt=dt, coefficients=traj)
 

@@ -46,6 +46,9 @@ def require_hermitian(a, rtol: float = 1e-12, name: str = "matrix") -> np.ndarra
     a = as_complex_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
+    # a NaN defect compares False against the tolerance below
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{name} has non-finite entries")
     scale = max(float(np.max(np.abs(a))), 1.0)
     if hermiticity_defect(a) > rtol * scale:
         raise ValidationError(f"{name} is not Hermitian within {rtol:g} (relative)")

@@ -169,6 +169,31 @@ def test_one_electron_rejects_non_hermitian():
         build_one_electron_system(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
 
 
+def test_system_rejects_non_finite_dipole():
+    local = np.random.default_rng(5)
+    m_dip = random_hermitian(4, local)
+    m_dip[0, 1] = m_dip[1, 0] = np.nan
+    with pytest.raises(ValidationError, match="M_dip has non-finite"):
+        CiSystem(n_electrons=2, n_orbitals=2, c_matrix=np.eye(4),
+                 index_map=one_electron_index_map(2),
+                 h0_diag=np.arange(4.0), m_dip=m_dip)
+
+
+def test_system_keeps_read_only_copies():
+    # H(t) must not change under an edit of the caller's arrays or the system's
+    h0_full = np.diag([2.0, 3.0, 3.0, 4.0]).astype(complex)
+    h0_diag, m_dip = np.real(np.diag(h0_full)).copy(), np.eye(4, dtype=complex)
+    s = CiSystem(n_electrons=2, n_orbitals=2, c_matrix=np.eye(4),
+                 index_map=one_electron_index_map(2), h0_diag=h0_diag,
+                 m_dip=m_dip, field=FieldProfile(amplitude=1.0), h0_full=h0_full)
+    h = s.hamiltonian(0.5)
+    h0_diag[0] = h0_full[0, 0] = m_dip[0, 0] = 100.0
+    assert np.array_equal(s.hamiltonian(0.5), h)
+    for name in ("h0_diag", "m_dip", "h0_full"):
+        with pytest.raises(ValueError):
+            getattr(s, name)[0] = 0.0
+
+
 @pytest.mark.parametrize("k_orbitals", [2, 4])
 def test_bplus_identities(k_orbitals):
     local = np.random.default_rng(k_orbitals)

@@ -113,6 +113,14 @@ def test_pivot_moves_past_declared_zero_diagonal():
     assert np.max(np.abs(p_hat - p)) < 1e-10
 
 
+def _reconstruct_from_list(spec, x_reduced, basis):
+    """Reference reconstruction, indexing with the freshly built kept list."""
+    x = np.zeros(basis.dim)
+    x[spec.kept_coords(basis)] = x_reduced
+    x[spec.pivot] = spec.trace_value - (np.sum(x[:spec.n_c]) - x[spec.pivot])
+    return x
+
+
 def _assemble_dense(m, basis, spec, q_hist):
     """Reference assembly: the dense product M S~, then a loop over columns."""
     ms = m @ basis.s_tilde
@@ -140,7 +148,11 @@ def test_gathered_assembly_matches_dense_product(zeros):
     assert np.array_equal(m_red, m_ref)
     assert np.array_equal(b_ell, b_ref)
     x, _, _, _ = solve_constrained(m_red, b_ell, 1e-12)
-    p_hat = basis.matrix(spec.reconstruct(x, basis))
+    x_full = spec.reconstruct(x, basis)
+    assert np.array_equal(x_full, _reconstruct_from_list(spec, x, basis))
+    kept = basis.kept_coord_index(spec)
+    assert basis.kept_coord_index(spec) is kept and not kept.flags.writeable
+    p_hat = basis.matrix(x_full)
     for i, j in zeros:
         assert p_hat[i, j] == 0.0 and p_hat[j, i] == 0.0
     assert np.trace(p_hat).real == pytest.approx(1.0, abs=1e-14)

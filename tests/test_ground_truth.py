@@ -45,8 +45,9 @@ def test_final_time_bookkeeping():
 
 def test_invalid_inputs_rejected():
     s = _quiet_system()
-    with pytest.raises(ValidationError):
-        propagate_coefficients(s, -0.1, 10)
+    for dt in (-0.1, np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            propagate_coefficients(s, dt, 10)
     with pytest.raises(ValidationError):
         propagate_coefficients(s, 0.1, 10, a0=np.array([1.0, 0.0, 0.0, 2.0]))
 

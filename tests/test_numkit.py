@@ -82,6 +82,13 @@ def test_matexp_rejects_non_hermitian():
         matexp_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), -1j)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_matexp_rejects_non_finite(bad):
+    # a NaN Hermiticity defect compares False against any tolerance
+    with pytest.raises(ValidationError, match="non-finite"):
+        matexp_hermitian(np.array([[1.0, bad], [bad, 2.0]]), -1j)
+
+
 def test_pinv_identity():
     res = pinv_thresholded(np.eye(3), 1e-12)
     assert np.allclose(res.pinv, np.eye(3), atol=1e-14)
