@@ -54,6 +54,7 @@ from .ground_truth import (
     full_density_series,
     propagate_coefficients,
     reduced_density_series,
+    release_step_unitaries,
     step_unitary,
 )
 from .harness import (

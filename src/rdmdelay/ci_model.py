@@ -150,9 +150,7 @@ class CiSystem:
         if self.h0_full is not None:
             hf = require_hermitian(np.array(self.h0_full, dtype=complex), name="H0")
             object.__setattr__(self, "h0_full", _read_only(hf))
-        # exp(-i H(t) dt) keyed by (f(t), dt), filled by ground_truth.step_unitary.
-        # H(t) depends on t only through f(t), and the arrays it is built from
-        # are read-only copies, so an entry cannot go stale.
+        # ground_truth.step_unitary's cache; not a field, so dataclasses.replace starts empty
         object.__setattr__(self, "_step_unitaries", {})
 
     @property

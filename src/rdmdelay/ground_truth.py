@@ -21,6 +21,7 @@ __all__ = [
     "FieldProfile",
     "GroundTruthRun",
     "step_unitary",
+    "release_step_unitaries",
     "propagate_coefficients",
     "full_density_series",
     "reduced_density_series",
@@ -50,19 +51,26 @@ def step_unitary(system: CiSystem, t: float, dt: float) -> np.ndarray:
 
     H(t) = H0 + f(t) M_dip depends on t only through the field value, so all
     steps after the field cutoff (and t = 0) share one entry.  The entries
-    live on the system instance and are returned read-only; each costs
-    N_C^2 complex numbers.  The ground truth and the delay propagators take
-    their unitaries from here.
+    live on the system instance until `release_step_unitaries` drops them,
+    and are returned read-only; each costs N_C^2 complex numbers, so a run
+    holds one per driven step and dt.  The ground truth and the delay
+    propagators take their unitaries from here.
     """
     f = system.field(t)
     # 0.0 and -0.0 compare equal, but H0 + f M_dip keeps the sign of a zero
-    key = (f, math.copysign(1.0, f), dt)
-    u = system._step_unitaries.get(key)
+    key = (f, math.copysign(1.0, f))
+    by_field = system._step_unitaries.setdefault(dt, {})
+    u = by_field.get(key)
     if u is None:
         u = matexp_hermitian(system.hamiltonian(t), -1j * dt)
         u.flags.writeable = False
-        system._step_unitaries[key] = u
+        by_field[key] = u
     return u
+
+
+def release_step_unitaries(system: CiSystem, dt: float) -> None:
+    """Drop the step unitaries `system` keeps for time step `dt`."""
+    system._step_unitaries.pop(dt, None)
 
 
 def propagate_coefficients(system: CiSystem, dt: float, n_steps: int,

@@ -42,6 +42,7 @@ from .ground_truth import (
     eigenvalue_drift,
     propagate_coefficients,
     reduced_density_series,
+    release_step_unitaries,
 )
 from .numkit import (
     ValidationError,
@@ -205,6 +206,9 @@ def run_sweep(base: ExperimentConfig, axis: str, values) -> list[dict]:
             run = propagate_coefficients(cfg.system, cfg.dt, cfg.n_steps)
             cache[cfg.dt] = reduced_density_series(run, b)
         rep = run_experiment(cfg, b=b, q_true=cache[cfg.dt])
+        if axis == "dt":
+            # each dt is one sweep point: its step unitaries are not needed again
+            release_step_unitaries(cfg.system, cfg.dt)
         s = rep.summary()
         rows.append({
             "ell": cfg.ell, "k": cfg.stride, "dt": cfg.dt,

@@ -22,9 +22,10 @@ from rdmdelay.delay_core import DelayConfig
 from rdmdelay.ground_truth import (
     propagate_coefficients,
     reduced_density_series,
+    release_step_unitaries,
     step_unitary,
 )
-from rdmdelay.harness import generate_synthetic_system
+from rdmdelay.harness import ExperimentConfig, generate_synthetic_system, run_sweep
 from rdmdelay.numkit import matexp_hermitian
 
 DT_COARSE = 0.08268
@@ -76,14 +77,20 @@ def test_shared_unitaries_reproduce_direct_path_bitwise(monkeypatch, system, dt,
     assert [r.csv_row() for r in shared[1]] == [r.csv_row() for r in direct[1]]
 
 
-def test_unitaries_computed_once_per_field_value(monkeypatch):
-    calls = []
+@pytest.fixture
+def calls(monkeypatch):
+    """The scale of every step unitary computed (not served from the cache)."""
+    seen = []
 
     def counting(h, scale):
-        calls.append(scale)
+        seen.append(scale)
         return matexp_hermitian(h, scale)
 
     monkeypatch.setattr(ground_truth, "matexp_hermitian", counting)
+    return seen
+
+
+def test_unitaries_computed_once_per_field_value(calls):
     system = _one_cycle_nc4()
     b = build_B(system)
     n_steps, cfg = 400, DelayConfig(ell=20)
@@ -91,6 +98,30 @@ def test_unitaries_computed_once_per_field_value(monkeypatch):
     assert len(calls) == 85  # steps 0..84 drive the field; 0 and >= 85 share f = 0
     run_delay_propagation(system, b, DT_COARSE, n_steps, cfg, q_true)
     assert len(calls) == 85  # warm start and all 380 delay steps hit
+
+
+def test_release_drops_only_that_step(calls):
+    system = _one_cycle_nc4()
+    u1, u2 = step_unitary(system, 1.0, DT_COARSE), step_unitary(system, 1.0, DT_FINE)
+    release_step_unitaries(system, DT_COARSE)
+    assert step_unitary(system, 1.0, DT_FINE) is u2
+    again = step_unitary(system, 1.0, DT_COARSE)
+    assert again is not u1 and _same_bits(again, u1)
+    assert calls == [-1j * DT_COARSE, -1j * DT_FINE, -1j * DT_COARSE]
+    release_step_unitaries(system, 0.5)  # a step the system never used
+
+
+def test_sweep_shares_unitaries_across_ell_and_releases_each_dt(calls):
+    # 200 steps of the default five-cycle field are all driven: 200 distinct f
+    system = generate_synthetic_system(4, 2, seed=3)
+    base = ExperimentConfig(system=system, dt=DT_COARSE, n_steps=200, ell=4)
+    run_sweep(base, "ell", [4, 8])
+    assert len(calls) == 200  # the second ell reuses the first one's unitaries
+    run_sweep(base, "dt", [DT_COARSE, DT_COARSE / 2])
+    assert len(calls) == 200 + 400  # DT_COARSE still cached; half the step is new
+    step_unitary(system, 0.0, DT_COARSE)
+    step_unitary(system, 0.0, DT_COARSE / 2)
+    assert len(calls) == 602  # the dt sweep released both steps
 
 
 def test_zero_field_of_either_sign_gets_its_own_entry():
