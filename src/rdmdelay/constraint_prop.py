@@ -28,6 +28,7 @@ from .numkit import (
     flatten,
     hermiticity_defect,
     matexp_hermitian,  # noqa: F401  kept only for perfbench/tracing.py, which wraps it
+    normal_equations_solve,
     pinv_thresholded,
     unflatten,
 )
@@ -54,13 +55,6 @@ class HermitianBasis:
         self._lower_pos = np.array([j + n_c * i for i, j in self.pairs], dtype=int)
         self._kept: dict = {}
         self._gathers: dict = {}
-        n_p = len(self.pairs)
-        sym, anti = n_c + np.arange(n_p), n_c + n_p + np.arange(n_p)
-        self.s_tilde = np.zeros((n_c * n_c, n_c * n_c), dtype=complex)
-        self.s_tilde[self._diag_pos, np.arange(n_c)] = 1.0
-        self.s_tilde[self._upper_pos, sym] = self.s_tilde[self._lower_pos, sym] = 1.0
-        self.s_tilde[self._upper_pos, anti] = 1.0j
-        self.s_tilde[self._lower_pos, anti] = -1.0j
 
     @property
     def dim(self) -> int:
@@ -73,9 +67,17 @@ class HermitianBasis:
         return np.concatenate([v[self._diag_pos].real, off.real, off.imag])
 
     def matrix(self, x: np.ndarray) -> np.ndarray:
-        """Hermitian matrix from real coordinates."""
+        """Hermitian matrix sum_j x_j S^j from real coordinates."""
         x = np.asarray(x, dtype=float)
-        return unflatten(self.s_tilde @ x, self.n_c, self.n_c)
+        if x.shape != (self.dim,):
+            raise ValidationError(f"coordinates have shape {x.shape}, expected ({self.dim},)")
+        n, n_p = self.n_c, len(self.pairs)
+        off = x[n:n + n_p] + 1j * x[n + n_p:]
+        v = np.zeros(n * n, dtype=complex)
+        v[self._diag_pos] = x[:n]
+        v[self._upper_pos] = off
+        v[self._lower_pos] = off.conj()
+        return unflatten(v, n, n)
 
     def kept_coord_index(self, spec: "ConstraintSpec") -> np.ndarray:
         """spec.kept_coords(self) as a read-only index array, built once per spec."""
@@ -193,15 +195,27 @@ def assemble_constrained_system(m: np.ndarray, basis: HermitianBasis,
 def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float):
     """Real least-squares solve of M'' x = b_ell.
 
-    Stacking real and imaginary parts keeps the solution exactly real (the
-    pseudoinverse is computed in real arithmetic), so the reconstructed
-    density is exactly Hermitian.  An exact real solution of the complex
-    system also solves the stacked system exactly.
+    Stacking real and imaginary parts keeps the solution exactly real (it
+    is computed in real arithmetic), so the reconstructed density is
+    exactly Hermitian.  An exact real solution of the complex system also
+    solves the stacked system exactly.
+
+    A well-conditioned step is solved from the normal equations by
+    `numkit.normal_equations_solve`; it keeps every column, so the rank is
+    the column count.  Every other step (an ill-conditioned or
+    rank-deficient system, one with fewer rows than columns, or r_tol
+    close to 1/cond) forms the thresholded pseudoinverse.  Returns
+    (x, ||M'' x - b_ell||, rank, condition number).
     """
     a = np.vstack([m_red.real, m_red.imag])
     rhs = np.concatenate([b_ell.real, b_ell.imag])
-    pinv, rank, cond = pinv_thresholded(a, r_tol)
-    x = pinv @ rhs
+    fast = normal_equations_solve(a, rhs, r_tol)
+    if fast is not None:
+        x, cond = fast
+        rank = a.shape[1]
+    else:
+        pinv, rank, cond = pinv_thresholded(a, r_tol)
+        x = pinv @ rhs
     residual = float(np.linalg.norm(m_red @ x - b_ell))
     return x, residual, rank, cond
 

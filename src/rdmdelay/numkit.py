@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels shared by the whole package.
 
 All routines operate on plain numpy arrays, complex128 unless stated
-otherwise: `pinv_thresholded` keeps real input real (float64), so the
-stacked real least-squares system of the constrained solve never pays for
-complex arithmetic.  The canonical flattening convention is column-major
+otherwise: `pinv_thresholded` keeps real input real (float64), and
+`normal_equations_solve` takes real input only, so the stacked real
+least-squares system of the constrained solve never pays for complex
+arithmetic.  The canonical flattening convention is column-major
 ("F" order), so that for conformable matrices vec(A X B) = (B^T kron A)
 vec(X); row-major flattening exists only for exporting tensors in the
 layout used by external tabulations.
@@ -14,6 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 COLUMN_MAJOR = "F"
 ROW_MAJOR = "C"
@@ -96,6 +98,60 @@ def pinv_thresholded(m, r_tol: float) -> PinvResult:
     s_inv[keep] = 1.0 / s[keep]
     cond = float(s[0] / s[:rank].min())
     return PinvResult(vh.conj().T @ (s_inv[:, None] * u.conj().T), rank, cond)
+
+
+# Gate of `normal_equations_solve`: cond(a) may not exceed COND_MAX, or
+# COND_MAX_TIGHT when r_tol < TIGHT_R_TOL, and r_tol * cond(a) may not exceed
+# THRESHOLD_MARGIN, so that `pinv_thresholded` would keep every singular value
+# with a 100x margin.  The normal equations square cond(a); one corrected
+# semi-normal step brings the solution back to least-squares accuracy only
+# while cond(a) stays moderate, and the tight bound keeps the ill-conditioned
+# steps of runs at r_tol 1e-12 on the pseudoinverse.
+COND_MAX = 1e4
+COND_MAX_TIGHT = 1e3
+TIGHT_R_TOL = 1e-8
+THRESHOLD_MARGIN = 1e-2
+
+
+class NormalSolve(NamedTuple):
+    x: np.ndarray
+    condition_number: float
+
+
+def normal_equations_solve(a: np.ndarray, b: np.ndarray, r_tol: float) -> NormalSolve | None:
+    """Full-rank real least squares min ||a x - b|| from the normal equations.
+
+    Returns None unless cond(a) passes the gate above (a rank-deficient a,
+    or one with fewer rows than columns, never does); the caller then takes
+    the `pinv_thresholded` path.  Otherwise the Gram matrix N = a^T a is
+    factored by Cholesky, N x = a^T b is solved, and one corrected
+    semi-normal step x <- x + N^-1 a^T (b - a x) with the same factor
+    reduces the error that squaring the condition number put into x to
+    that of a backward-stable solver (Bjorck, Numerical Methods for Least
+    Squares Problems, 1996, sec. 2.2).
+    The condition number sqrt(lambda_max / lambda_min) comes from the
+    eigenvalues of N; every column is kept, so the rank is a.shape[1].
+    """
+    if r_tol < 0:
+        raise ValidationError(f"r_tol must be nonnegative, got {r_tol}")
+    cond_max = COND_MAX if r_tol >= TIGHT_R_TOL else COND_MAX_TIGHT
+    if r_tol * cond_max > THRESHOLD_MARGIN:
+        cond_max = THRESHOLD_MARGIN / r_tol
+    gram = a.T @ a
+    factor, info = lapack.dpotrf(gram, lower=0, clean=0)
+    if info != 0:
+        return None
+    # lambda_max(N) >= max_j N_jj and lambda_min(N) <= min_i R_ii^2 for the
+    # Cholesky factor R: a lower bound on cond(N) that turns most
+    # ill-conditioned steps away before the eigenvalues are computed
+    if gram.diagonal().max() > cond_max ** 2 * factor.diagonal().min() ** 2:
+        return None
+    lam = np.linalg.eigvalsh(gram)
+    if not lam[0] > 0 or lam[-1] > cond_max ** 2 * lam[0]:
+        return None
+    x, _ = lapack.dpotrs(factor, a.T @ b)
+    correction, _ = lapack.dpotrs(factor, a.T @ (b - a @ x))
+    return NormalSolve(x + correction, float(np.sqrt(lam[-1] / lam[0])))
 
 
 def flatten(p, order: str = COLUMN_MAJOR) -> np.ndarray:

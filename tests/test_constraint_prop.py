@@ -16,14 +16,39 @@ from rdmdelay.constraint_prop import (
 from rdmdelay.delay_core import DelayConfig
 from rdmdelay.ground_truth import propagate_coefficients, reduced_density_series
 from rdmdelay.harness import generate_synthetic_system
-from rdmdelay.numkit import NumericalError, flatten, random_hermitian, random_unitary
+from rdmdelay.numkit import (
+    NumericalError,
+    ValidationError,
+    flatten,
+    random_hermitian,
+    random_unitary,
+)
 
 rng = np.random.default_rng(4114)
 
 
+def _dense_s_tilde(n):
+    """Reference S~: column j is vec(S^j), built from the enumeration rule."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mats = []
+    for i in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, i] = 1.0
+        mats.append(e)
+    for phase in (1.0, 1j):
+        for i, j in pairs:
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j], e[j, i] = phase, np.conj(phase)
+            mats.append(e)
+    return np.column_stack([flatten(e) for e in mats])
+
+
+def _basis_matrices(basis):
+    return [basis.matrix(e_j) for e_j in np.eye(basis.dim)]
+
+
 def test_basis_n2_explicit():
-    basis = HermitianBasis(2)
-    mats = [c.reshape(2, 2, order="F") for c in basis.s_tilde.T]
+    mats = _basis_matrices(HermitianBasis(2))
     assert len(mats) == 4
     assert np.array_equal(mats[0], [[1, 0], [0, 0]])
     assert np.array_equal(mats[1], [[0, 0], [0, 1]])
@@ -32,10 +57,10 @@ def test_basis_n2_explicit():
 
 
 def test_basis_n3_orthogonal():
-    basis = HermitianBasis(3)
-    assert basis.s_tilde.shape == (9, 9)
+    s_tilde = np.column_stack([flatten(e) for e in _basis_matrices(HermitianBasis(3))])
+    assert s_tilde.shape == (9, 9)
     # <S^i, S^j> = tr(S^i^dagger S^j) = the inner product of the vec columns
-    gram = (basis.s_tilde.conj().T @ basis.s_tilde).real
+    gram = (s_tilde.conj().T @ s_tilde).real
     off = gram - np.diag(np.diag(gram))
     assert np.abs(off).max() < 1e-14
 
@@ -45,8 +70,22 @@ def test_basis_round_trip_exact():
     z = random_hermitian(4, rng)
     x = basis.coords(z)
     assert x.dtype == np.float64
-    assert np.array_equal(basis.s_tilde @ x, flatten(z))
+    assert np.array_equal(flatten(basis.matrix(x)), flatten(z))
     assert np.array_equal(basis.matrix(x), z)
+    assert np.array_equal(np.column_stack([flatten(e) for e in _basis_matrices(basis)]),
+                          _dense_s_tilde(4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_basis_matrix_scatter_equals_dense_product(n):
+    basis = HermitianBasis(n)
+    s_tilde = _dense_s_tilde(n)
+    local = np.random.default_rng(n)
+    for _ in range(5):
+        x = local.standard_normal(n * n)
+        assert np.array_equal(flatten(basis.matrix(x)), s_tilde @ x)
+    with pytest.raises(ValidationError):
+        basis.matrix(np.zeros(n * n + 1))
 
 
 def test_constraint_spec_column_counts():
@@ -123,7 +162,7 @@ def _reconstruct_from_list(spec, x_reduced, basis):
 
 def _assemble_dense(m, basis, spec, q_hist):
     """Reference assembly: the dense product M S~, then a loop over columns."""
-    ms = m @ basis.s_tilde
+    ms = m @ _dense_s_tilde(basis.n_c)
     pivot_col = ms[:, spec.pivot].copy()
     cols = [ms[:, j] - pivot_col if j < spec.n_c else ms[:, j]
             for j in spec.kept_coords(basis)]
