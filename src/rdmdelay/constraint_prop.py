@@ -11,7 +11,6 @@ trace-1, and exactly zero where declared, at no accuracy cost.  The raw
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -248,6 +247,17 @@ class DelayPropagator:
     The memory window spans ell * stride steps; the state must be warm-started
     with the ell*stride + 1 reduced densities Q(0) .. Q(ell*stride*dt) (ground
     truth, per the standard experimental procedure) before stepping.
+
+    The memory matrix M is kept as a stack of blocks X_j = C_j B_r C_j^dagger,
+    j = 0..ell, where C_j is the product of the last j*stride step unitaries.
+    At stride 1 the stack slides: X_{j+1}(t+dt) = E X_j(t) E^dagger with
+    E = exp(-i H(t) dt), so after the first step past a warm start each step
+    moves the stack by one frame change (two GEMMs over all blocks) instead
+    of rebuilding it.  At stride > 1 the block one step back belongs to
+    another residue class t mod stride, so the stack is rebuilt every step
+    from the products C_j; sliding there would need one stack per class.
+    The reduced densities live in one (ell*stride + 1, K^2) array, newest
+    row first, so the stacked history is its rows 0, stride, 2*stride, ...
     """
 
     def __init__(self, system: CiSystem, b: BTensor, cfg: DelayConfig, dt: float,
@@ -271,13 +281,17 @@ class DelayPropagator:
             raise ValidationError("constraint spec dimension mismatch")
         self.b_tilde = b.matricized
         depth, n, k2 = cfg.depth, self.n_c, self.k_orb ** 2
-        self._q_hist = deque(maxlen=depth + 1)  # vec(Q), newest last
-        # _cprods[m-1] = C_m(t), the product of the last m step unitaries
+        self._q_hist = np.empty((depth + 1, k2), dtype=complex)  # vec(Q), newest row first
+        # _cprods[m-1] = C_m(t), the product of the last m step unitaries; at
+        # stride 1 it is only read for the first stack after a warm start
         self._cprods = np.empty((depth, n, n), dtype=complex)
         # _memory[j, r] = C_j B_r C_j^dagger with B_r row r of B~ read row-major;
         # reshaped to ((ell+1) K^2, N_C^2) the stack is the memory matrix M
         self._memory = np.empty((cfg.ell + 1, k2, n, n), dtype=complex)
         self._memory[0] = self.b_tilde.reshape(k2, n, n)
+        self._stack_current = False  # _memory holds M(t) for the next step
+        if cfg.stride == 1:
+            self._slide = np.empty((cfg.ell * k2 * n, n), dtype=complex)  # `_slide_stack`
         self._step_index = None
         self.records: list[StepRecord] = []
 
@@ -296,32 +310,56 @@ class DelayPropagator:
         if len(q_seed) != depth + 1:
             raise ValidationError(
                 f"warm start needs {depth + 1} reduced densities, got {len(q_seed)}")
-        self._q_hist.clear()
+        seed = []
         for q in q_seed:
             q = as_complex_matrix(q, "Q")
             if q.shape != (self.k_orb, self.k_orb):
                 raise ValidationError(f"seed Q has shape {q.shape}")
-            self._q_hist.append(flatten(q))
+            seed.append(flatten(q))
+        self._q_hist[::-1] = seed
         # forward products C_m = E(t - dt) ... E(t - m dt), newest factor left
         acc = np.eye(self.n_c)
         for m in range(depth):
             e = step_unitary(self.system, (start_step + depth - 1 - m) * self.dt, self.dt)
             acc = np.matmul(acc, e, out=self._cprods[m])
+        self._stack_current = False
         self._step_index = start_step + depth
 
     # -- stepping ---------------------------------------------------------
 
     def _memory_matrix(self) -> np.ndarray:
-        """M, as a view of a buffer that the next call overwrites."""
+        """M(t), as a view of the stack that the next step overwrites.
+
+        Builds the stack from the products C_j unless it is already current,
+        which it is only at stride 1 after the first step past a warm start.
+        """
         n, k2 = self.n_c, self.k_orb ** 2
-        c = self._cprods[self.cfg.stride - 1::self.cfg.stride]  # C_j, j = 1..ell
-        b_c = self._memory[0].reshape(k2 * n, n) @ c.conj().transpose(0, 2, 1)
-        np.matmul(c[:, None], b_c.reshape(-1, k2, n, n), out=self._memory[1:])
+        if not self._stack_current:
+            c = self._cprods[self.cfg.stride - 1::self.cfg.stride]  # C_j, j = 1..ell
+            b_c = self._memory[0].reshape(k2 * n, n) @ c.conj().transpose(0, 2, 1)
+            np.matmul(c[:, None], b_c.reshape(-1, k2, n, n), out=self._memory[1:])
+            self._stack_current = self.cfg.stride == 1
         return self._memory.reshape(-1, n * n)
 
+    def _slide_stack(self, e: np.ndarray):
+        """Stride 1: X_{j+1} <- E X_j E^dagger for j < ell; X_0 stays B~.
+
+        Two GEMMs over all blocks at once.  E^dagger acts on the contiguous
+        last index.  For E on the first index the rows of every block are
+        moved outermost, multiplied and moved back; blocks 1..ell, whose old
+        values are no longer needed once X_j E^dagger is in `_slide`, hold
+        the moved rows.
+        """
+        n, tail = self.n_c, self._memory[1:]
+        np.matmul(self._memory[:-1].reshape(-1, n), e.conj().T, out=self._slide)
+        np.copyto(tail.reshape(n, -1, n), self._slide.reshape(-1, n, n).transpose(1, 0, 2))
+        np.matmul(e, tail.reshape(n, -1), out=self._slide.reshape(n, -1))
+        np.copyto(tail.reshape(-1, n, n), self._slide.reshape(n, -1, n).transpose(1, 0, 2))
+
     def _stacked_history(self) -> np.ndarray:
-        return np.concatenate(
-            [self._q_hist[-1 - j * self.cfg.stride] for j in range(self.cfg.ell + 1)])
+        """(vec Q(t), vec Q(t - stride dt), ..., vec Q(t - ell stride dt)); at
+        stride 1 a view of the history, which the next step overwrites."""
+        return self._q_hist[::self.cfg.stride].ravel()
 
     def step(self) -> np.ndarray:
         """Advance one step: reconstruct P(t), apply the superoperator, emit Q(t+dt)."""
@@ -348,11 +386,14 @@ class DelayPropagator:
         q_next_vec = self.b_tilde @ flatten(p_next)
         q_next = unflatten(q_next_vec, self.k_orb, self.k_orb)
         # advance history
-        if self.cfg.depth > 0:
+        if self.cfg.stride == 1:
+            self._slide_stack(e)
+        elif self.cfg.depth > 0:
             # C_{m+1} = E C_m; numpy buffers the overlapping input
             np.matmul(e, self._cprods[:-1], out=self._cprods[1:])
             self._cprods[0] = e
-        self._q_hist.append(q_next_vec)
+        self._q_hist[1:] = self._q_hist[:-1]
+        self._q_hist[0] = q_next_vec
         self._step_index += 1
         min_eig = float(np.linalg.eigvalsh((p_hat + p_hat.conj().T) / 2).min())
         self.records.append(StepRecord(

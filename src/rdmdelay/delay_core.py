@@ -10,6 +10,7 @@ the same partially observed setting is provided for comparison.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -164,6 +165,8 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
     Returns (y(t+1), diagnostics).  Rank deficiency of M(t) is reported via
     a warning and the diagnostics record, never a hard failure: the
     thresholded pseudoinverse still yields a least-squares reconstruction.
+    A non-finite z_hat or y(t+1) raises `NumericalError` naming the stage
+    (solve or propagation) where it appeared.
     """
     m_t = build_M(history, r, cfg, unitary=unitary)
     y_stack = history.stacked_reduced(cfg)
@@ -178,6 +181,12 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
             stacklevel=2,
         )
     y_next = r.matrix @ (as_complex_matrix(a_t, "A(t)") @ z_hat)
+    # 0 * y is 0 for finite y and NaN otherwise, so one product tests every
+    # entry of y(t+1) = R A z_hat; a non-finite z_hat makes all of them
+    # non-finite, and the stage is told apart only on failure
+    if not cmath.isfinite(np.vdot(np.zeros(y_next.size), y_next)):
+        stage = "propagation" if np.isfinite(z_hat).all() else "solve"
+        raise NumericalError(f"propagate_y: the {stage} stage produced non-finite values")
     return y_next, StepDiagnostics(rank, cond, residual, deficient)
 
 

@@ -14,7 +14,11 @@ from rdmdelay.constraint_prop import (
     suggest_zero_pattern,
 )
 from rdmdelay.delay_core import DelayConfig
-from rdmdelay.ground_truth import propagate_coefficients, reduced_density_series
+from rdmdelay.ground_truth import (
+    propagate_coefficients,
+    reduced_density_series,
+    step_unitary,
+)
 from rdmdelay.harness import generate_synthetic_system
 from rdmdelay.numkit import (
     NumericalError,
@@ -108,15 +112,20 @@ def test_reconstruct_consistent_data_exactly():
     basis = HermitianBasis(4)
     zeros = frozenset({(1, j) for j in range(4)})
     spec = ConstraintSpec(4, trace_value=1.0, zero_pairs=zeros)
-    # a Hermitian matrix satisfying the declared constraints exactly
-    p = random_hermitian(4, rng)
-    p[1, :] = 0.0
-    p[:, 1] = 0.0
-    p[0, 0] += 1.0 - np.trace(p).real
-    x_full = basis.coords(p)
-    x_red = x_full[spec.kept_coords(basis)]
-    x_back = spec.reconstruct(x_red, basis)
-    assert np.array_equal(basis.matrix(x_back), p)
+    local = np.random.default_rng(4114)
+    for _ in range(20):
+        # a Hermitian matrix satisfying the declared constraints exactly:
+        # entries are multiples of 1/8, so the trace, and the pivot entry
+        # that reconstruct recomputes from it, are exact in floating point
+        a = (local.integers(-16, 17, (4, 4)) + 1j * local.integers(-16, 17, (4, 4))) / 8
+        p = a + a.conj().T
+        p[1, :] = 0.0
+        p[:, 1] = 0.0
+        p[0, 0] += 1.0 - np.trace(p).real
+        x_full = basis.coords(p)
+        x_red = x_full[spec.kept_coords(basis)]
+        x_back = spec.reconstruct(x_red, basis)
+        assert np.array_equal(basis.matrix(x_back), p)
 
 
 def test_constrained_solve_recovers_planted_p():
@@ -245,7 +254,7 @@ def test_non_finite_history_raises_numerical_error(mode):
     prop = DelayPropagator(s, b, cfg, dt, mode=mode)
     prop.warm_start([q_true[j] for j in range(cfg.depth + 1)])
     prop.step()
-    prop._q_hist[-1][1] = np.nan
+    prop._q_hist[0, 1] = np.nan  # the newest Q
     with pytest.raises(NumericalError, match=rf"step {cfg.depth + 2} .*{mode} solve stage"):
         prop.step()
     assert len(prop.records) == 1
@@ -303,15 +312,71 @@ def test_schur_rank_check_implication_over_random_instances():
             assert report["stack_rank_svd"] == 2 * 4
 
 
-class _KronPropagator(DelayPropagator):
-    """Memory blocks as dense B~ (C^T kron C^dagger) products: the reference."""
+class _ProductPropagator(DelayPropagator):
+    """Reference: every step rebuilds the memory stack from its own products
+    C_m of the last m step unitaries, formed as ``acc @ E`` over the warm-start
+    window and then by C_{m+1} = E C_m, with the batched blocks of
+    `DelayPropagator._memory_matrix`.  It never slides a stack."""
+
+    def warm_start(self, q_seed, start_step=0):
+        super().warm_start(q_seed, start_step)
+        depth = self.cfg.depth
+        self._ref_prods = np.empty((depth, self.n_c, self.n_c), dtype=complex)
+        acc = np.eye(self.n_c)
+        for m in range(depth):
+            acc = acc @ step_unitary(self.system, (start_step + depth - 1 - m) * self.dt,
+                                     self.dt)
+            self._ref_prods[m] = acc
+
+    def _blocks(self, c):
+        """Rows of blocks 1..ell of M from C_j, j = 1..ell."""
+        n, k2 = self.n_c, self.k_orb ** 2
+        b_c = self.b_tilde.reshape(k2 * n, n) @ c.conj().transpose(0, 2, 1)
+        return np.matmul(c[:, None], b_c.reshape(-1, k2, n, n)).reshape(-1, n * n)
 
     def _memory_matrix(self):
-        blocks = [self.b_tilde]
-        for j in range(1, self.cfg.ell + 1):
-            c = self._cprods[j * self.cfg.stride - 1]
-            blocks.append(self.b_tilde @ np.kron(c.T, c.conj().T))
-        return np.vstack(blocks)
+        c = self._ref_prods[self.cfg.stride - 1::self.cfg.stride]
+        return np.vstack([self.b_tilde, self._blocks(c)])
+
+    def _slide_stack(self, e):
+        pass
+
+    def step(self):
+        e = step_unitary(self.system, self._step_index * self.dt, self.dt)
+        q_next = super().step()
+        if self.cfg.depth > 0:
+            self._ref_prods[1:] = e @ self._ref_prods[:-1]
+            self._ref_prods[0] = e
+        return q_next
+
+
+class _KronPropagator(_ProductPropagator):
+    """Memory blocks as dense B~ (C^T kron C^dagger) products: the reference."""
+
+    def _blocks(self, c):
+        n = self.n_c
+        return np.vstack([self.b_tilde @ np.kron(cj.T, cj.conj().T) for cj in c]
+                         or [np.zeros((0, n * n))])
+
+
+def _compare_with_kron(n_c, k, seed, h0_scale, dt, ell, stride, r_tol, rank, q_tol,
+                       mode="constrained", n_delay=6):
+    s = generate_synthetic_system(n_c, k, seed=seed, h0_scale=h0_scale)
+    b = build_B(s)
+    cfg = DelayConfig(ell=ell, stride=stride, r_tol=r_tol)
+    q_true = reduced_density_series(propagate_coefficients(s, dt, cfg.depth + n_delay), b)
+    fast = DelayPropagator(s, b, cfg, dt, mode=mode)
+    ref = _KronPropagator(s, b, cfg, dt, mode=mode)
+    for prop in (fast, ref):
+        prop.warm_start([q_true[j] for j in range(cfg.depth + 1)])
+    q_fast, q_ref = [], []
+    for _ in range(n_delay):
+        assert np.abs(fast._memory_matrix() - ref._memory_matrix()).max() < 1e-12
+        q_fast.append(fast.step())
+        q_ref.append(ref.step())
+    assert [r.effective_rank for r in fast.records] == [rank] * n_delay
+    assert [r.effective_rank for r in ref.records] == [rank] * n_delay
+    assert np.abs(np.array(q_fast) - np.array(q_ref)).max() < q_tol
 
 
 # The rank-deficient case keeps singular values down to r_tol * sigma_1, so
@@ -325,20 +390,67 @@ class _KronPropagator(DelayPropagator):
 ])
 def test_memory_matrix_matches_kron_blocks(n_c, k, seed, h0_scale, dt, ell, stride,
                                            r_tol, rank, q_tol):
-    s = generate_synthetic_system(n_c, k, seed=seed, h0_scale=h0_scale)
+    _compare_with_kron(n_c, k, seed, h0_scale, dt, ell, stride, r_tol, rank, q_tol)
+
+
+# More cases of the test above, for the stack that slides at stride 1: a long
+# run on criterion 5's system (every block goes through up to ell frame
+# changes, many times over), the raw mode, and ell = 0, where there is
+# nothing to slide.
+@pytest.mark.parametrize("ell, mode, n_delay, rank, q_tol", [
+    (20, "constrained", 1000, 15, 1e-12),
+    (20, "raw", 200, 16, 1e-12),
+    (0, "constrained", 20, 3, 1e-12),
+], ids=["crit5-ell20-long", "raw-ell20", "ell0"])
+def test_slid_stack_matches_kron_blocks(ell, mode, n_delay, rank, q_tol):
+    _compare_with_kron(4, 2, 3, 2.0, 0.08268, ell, 1, 1e-12, rank, q_tol,
+                       mode=mode, n_delay=n_delay)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_stride_above_one_rebuilds_the_stack_bitwise():
+    # criterion 7's configuration at stride 8, its initial state included
+    s = generate_synthetic_system(16, 4, seed=5, h0_scale=10.0)
     b = build_B(s)
-    cfg = DelayConfig(ell=ell, stride=stride, r_tol=r_tol)
-    n_delay = 6
-    q_true = reduced_density_series(propagate_coefficients(s, dt, cfg.depth + n_delay), b)
+    local = np.random.default_rng(11)
+    a0 = local.standard_normal(16) + 1j * local.standard_normal(16)
+    a0 /= np.linalg.norm(a0)
+    dt, n_delay = 0.008268, 40
+    cfg = DelayConfig(ell=32, stride=8, r_tol=1e-6)
+    q_true = reduced_density_series(
+        propagate_coefficients(s, dt, cfg.depth + n_delay, a0=a0), b)
     fast = DelayPropagator(s, b, cfg, dt)
-    ref = _KronPropagator(s, b, cfg, dt)
+    ref = _ProductPropagator(s, b, cfg, dt)
     for prop in (fast, ref):
         prop.warm_start([q_true[j] for j in range(cfg.depth + 1)])
-    q_fast, q_ref = [], []
-    for _ in range(n_delay):
-        assert np.abs(fast._memory_matrix() - ref._memory_matrix()).max() < 1e-12
-        q_fast.append(fast.step())
-        q_ref.append(ref.step())
-    assert [r.effective_rank for r in fast.records] == [rank] * n_delay
-    assert [r.effective_rank for r in ref.records] == [rank] * n_delay
-    assert np.abs(np.array(q_fast) - np.array(q_ref)).max() < q_tol
+    q_fast = [fast.step() for _ in range(n_delay)]
+    q_ref = [ref.step() for _ in range(n_delay)]
+    assert _same_bits(q_fast, q_ref)
+    assert [r.csv_row() for r in fast.records] == [r.csv_row() for r in ref.records]
+
+
+@pytest.mark.parametrize("mode", ["constrained", "raw"])
+def test_second_warm_start_rebuilds_the_stack(mode):
+    s = generate_synthetic_system(4, 2, seed=3)
+    b = build_B(s)
+    dt, cfg = 0.08268, DelayConfig(ell=20)
+    q_true = reduced_density_series(propagate_coefficients(s, dt, 200), b)
+    reused = DelayPropagator(s, b, cfg, dt, mode=mode)
+    reused.warm_start([q_true[j] for j in range(cfg.depth + 1)])
+    for _ in range(30):
+        reused.step()
+    start = 90  # a window 30 steps on from where `reused` stands
+    window = [q_true[start + j] for j in range(cfg.depth + 1)]
+    reused.warm_start(window, start_step=start)
+    fresh = DelayPropagator(s, b, cfg, dt, mode=mode)
+    fresh.warm_start(window, start_step=start)
+    q_reused = [reused.step() for _ in range(10)]
+    q_fresh = [fresh.step() for _ in range(10)]
+    assert _same_bits(q_reused, q_fresh)
+    assert ([r.csv_row() for r in reused.records[30:]]
+            == [r.csv_row() for r in fresh.records])
+    assert np.abs(np.array(q_fresh) - q_true[start + cfg.depth + 1:][:10]).max() < 1e-9

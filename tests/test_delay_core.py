@@ -13,6 +13,7 @@ from rdmdelay.delay_core import (
     propagate_y,
 )
 from rdmdelay.numkit import (
+    NumericalError,
     ValidationError,
     matexp_hermitian,
     pinv_thresholded,
@@ -114,6 +115,27 @@ def test_propagate_y_warns_when_rank_deficient():
     a = random_unitary(6, local)
     with pytest.warns(RuntimeWarning):
         propagate_y(hist, r, a, DelayConfig(ell=1))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("age", [0, 1], ids=["newest", "oldest"])
+def test_propagate_y_non_finite_history_raises_numerical_error(bad, age):
+    n, m_rows, ell = 4, 2, 1
+    r, hist, _, _, local = _random_history(n, m_rows, ell, seed=21)
+    a = random_unitary(n, local)
+    hist.reduced[-1 - age][1] = bad
+    with pytest.raises(NumericalError, match="solve stage"):
+        propagate_y(hist, r, a, DelayConfig(ell=ell))
+
+
+def test_propagate_y_non_finite_propagator_names_propagation_stage():
+    n, m_rows, ell = 4, 2, 1
+    r, hist, _, _, local = _random_history(n, m_rows, ell, seed=21)
+    a = random_unitary(n, local)
+    a[0, 0] = np.inf
+    with pytest.raises(NumericalError, match="propagation stage"):
+        propagate_y(hist, r, a, DelayConfig(ell=ell))
 
 
 def test_near_identity_propagators_need_stride():

@@ -156,7 +156,7 @@ _rows_cols = st.integers(1, 12).flatmap(
     lambda cols: st.tuples(st.integers(cols, 3 * cols), st.just(cols)))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(shape=_rows_cols, cond=st.floats(1.0, 100.0), scale=st.floats(1e-3, 1e3),
        r_tol=st.sampled_from([0.0, 1e-12, 1e-6]), seed=st.integers(0, 2**32 - 1))
 def test_fast_solve_matches_pseudoinverse_on_well_conditioned_systems(shape, cond, scale,

@@ -145,7 +145,7 @@ _times = st.floats(0.0, 200.0, allow_nan=False)
 _steps = st.floats(1e-4, 1.0, allow_nan=False)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(field=_fields, t=_times, dt=_steps)
 def test_shared_unitary_is_the_direct_exponential(field, t, dt):
     system = dataclasses.replace(_BASE, field=field)
@@ -157,7 +157,7 @@ def test_shared_unitary_is_the_direct_exponential(field, t, dt):
         u[0, 0] = 0.0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(field=_fields, t=_times, dt1=_steps, dt2=_steps)
 def test_different_steps_never_share_an_entry(field, t, dt1, dt2):
     system = dataclasses.replace(_BASE, field=field)
