@@ -30,14 +30,11 @@ from typing import Sequence
 import numpy as np
 
 from .numkit import (
-    COLUMN_MAJOR,
     ValidationError,
     as_complex_matrix,
     flatten,
-    hermiticity_defect,
     pinv_thresholded,
     require_hermitian,
-    unflatten,
 )
 
 

@@ -151,9 +151,11 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",")]
-    if args.axis in ("ell", "stride"):
-        values = [int(v) for v in values]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"--values must be comma-separated numbers, got {args.values!r}") from None
     cfg = ExperimentConfig(
         system=load_system(args.system), dt=args.dt, n_steps=args.steps,
         ell=args.ell, stride=args.stride, r_tol=args.rtol, mode=args.mode,

@@ -52,8 +52,6 @@ class HermitianBasis:
         self._diag_pos = np.arange(n_c) * (n_c + 1)
         self._upper_pos = np.array([i + n_c * j for i, j in self.pairs], dtype=int)
         self._lower_pos = np.array([j + n_c * i for i, j in self.pairs], dtype=int)
-        self._kept: dict = {}
-        self._gathers: dict = {}
 
     @property
     def dim(self) -> int:
@@ -78,27 +76,14 @@ class HermitianBasis:
         v[self._lower_pos] = off.conj()
         return unflatten(v, n, n)
 
-    def kept_coord_index(self, spec: "ConstraintSpec") -> np.ndarray:
-        """spec.kept_coords(self) as a read-only index array, built once per spec."""
-        kept = self._kept.get(spec)
-        if kept is None:
-            kept = np.array(spec.kept_coords(self), dtype=int)
-            kept.flags.writeable = False
-            self._kept[spec] = kept
-        return kept
-
-    def kept_vec_positions(self, spec: "ConstraintSpec"):
-        """Vec positions (diagonal, upper, lower) of spec's kept diagonal
-        entries and of its kept pairs' two entries, built once per spec."""
-        plan = self._gathers.get(spec)
-        if plan is None:
-            n, n_p = self.n_c, len(self.pairs)
-            kept = self.kept_coord_index(spec)
-            pairs = kept[(kept >= n) & (kept < n + n_p)] - n
-            plan = (self._diag_pos[kept[kept < n]], self._upper_pos[pairs],
-                    self._lower_pos[pairs])
-            self._gathers[spec] = plan
-        return plan
+    def vec_positions(self, coords: np.ndarray):
+        """Vec positions (diagonal, upper, lower) of the diagonal coordinates
+        among `coords` and of the two entries of each pair whose real
+        coordinate is among them."""
+        n, n_p = self.n_c, len(self.pairs)
+        pairs = coords[(coords >= n) & (coords < n + n_p)] - n
+        return (self._diag_pos[coords[coords < n]], self._upper_pos[pairs],
+                self._lower_pos[pairs])
 
 
 @dataclass(frozen=True)
@@ -129,34 +114,42 @@ class ConstraintSpec:
             raise ValidationError("all diagonal entries declared zero; trace "
                                   f"{self.trace_value} is unreachable")
         object.__setattr__(self, "_pivot_diag", pivot_diag)
+        # the free coordinates are those of a Hermitian matrix that is nonzero
+        # everywhere but at the pivot and the declared zeros; the basis alone
+        # knows their order and where their entries sit in vec(P)
+        basis = HermitianBasis(self.n_c)
+        upper = np.triu(np.ones((self.n_c, self.n_c)), 1)
+        free = np.eye(self.n_c) + (1 + 1j) * upper + (1 - 1j) * upper.T
+        for i, j in pairs:
+            free[i, j] = free[j, i] = 0.0
+        free[pivot_diag, pivot_diag] = 0.0
+        kept = np.flatnonzero(basis.coords(free))
+        plan = (kept, *basis.vec_positions(kept))
+        for a in plan:
+            a.flags.writeable = False
+        object.__setattr__(self, "_plan", plan)
 
     @property
     def pivot(self) -> int:
         """Index of the trace-eliminated diagonal coordinate."""
         return self._pivot_diag
 
-    def deleted_coords(self, basis: HermitianBasis) -> list[int]:
-        """Coordinate indices removed by the zero pattern (sorted)."""
-        n, n_p = self.n_c, len(basis.pairs)
-        pair_pos = {p: idx for idx, p in enumerate(basis.pairs)}
-        out = []
-        for i, j in self.zero_pairs:
-            if i == j:
-                out.append(i)
-            else:
-                out.append(n + pair_pos[(i, j)])
-                out.append(n + n_p + pair_pos[(i, j)])
-        return sorted(out)
+    def _plan_for(self, basis: HermitianBasis):
+        """The free coordinates and their vec positions (diagonal, upper,
+        lower), read-only and built with the spec."""
+        if basis.n_c != self.n_c:
+            raise ValidationError(
+                f"basis has n_c = {basis.n_c}, constraint spec has n_c = {self.n_c}")
+        return self._plan
 
-    def kept_coords(self, basis: HermitianBasis) -> list[int]:
-        drop = set(self.deleted_coords(basis))
-        drop.add(self.pivot)
-        return [j for j in range(basis.dim) if j not in drop]
+    def kept_coords(self, basis: HermitianBasis) -> np.ndarray:
+        """Sorted indices of the free coordinates, as a read-only array."""
+        return self._plan_for(basis)[0]
 
     def reconstruct(self, x_reduced: np.ndarray, basis: HermitianBasis) -> np.ndarray:
         """Affine map from the reduced solution back to all n_c^2 coordinates."""
         x = np.zeros(basis.dim)
-        kept = basis.kept_coord_index(self)
+        kept = self.kept_coords(basis)
         if len(x_reduced) != len(kept):
             raise ValidationError(
                 f"reduced coordinate vector has length {len(x_reduced)}, "
@@ -182,7 +175,7 @@ def assemble_constrained_system(m: np.ndarray, basis: HermitianBasis,
     q_hist = np.asarray(q_hist, dtype=complex).ravel()
     if q_hist.size != m.shape[0]:
         raise ValidationError(f"q_hist has length {q_hist.size}, expected {m.shape[0]}")
-    diag, upper, lower = basis.kept_vec_positions(spec)
+    _, diag, upper, lower = spec._plan_for(basis)
     pivot_col = m[:, spec.pivot * (basis.n_c + 1)]
     u, lo = m[:, upper], m[:, lower]
     m_red = np.concatenate([m[:, diag] - pivot_col[:, None], u + lo, 1j * (u - lo)],

@@ -14,7 +14,7 @@ import cmath
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class LinearSystem:
 
     dim: int
     step_propagator: Callable[[int], np.ndarray]
-    unitary: bool = True
 
     def propagator(self, t: int) -> np.ndarray:
         a = as_complex_matrix(self.step_propagator(t), "A(t)")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ci_model import BTensor, CiSystem, FieldProfile, reduce_density
-from .numkit import ValidationError, as_complex_matrix, matexp_hermitian
+from .ci_model import BTensor, CiSystem, FieldProfile
+from .numkit import ValidationError, matexp_hermitian
 
 __all__ = [
     "FieldProfile",
@@ -117,15 +117,11 @@ def reduced_density_series(run: GroundTruthRun, b: BTensor) -> np.ndarray:
 
 def eigenvalue_drift(q_series) -> np.ndarray:
     """|lambda_j(t) - lambda_j(0)| per step, eigenvalues sorted descending."""
-    q_series = np.asarray(q_series)
-    drifts = []
-    lam0 = None
-    for q in q_series:
-        q = as_complex_matrix(q, "Q")
-        if np.abs(q - q.conj().T).max() > 1e-10 * max(1.0, np.abs(q).max()):
-            raise ValidationError("eigenvalue_drift requires Hermitian matrices")
-        lam = np.linalg.eigvalsh(q)[::-1]
-        if lam0 is None:
-            lam0 = lam
-        drifts.append(np.abs(lam - lam0))
-    return np.asarray(drifts)
+    q = np.asarray(q_series, dtype=complex)
+    if q.ndim != 3 or 0 in q.shape or q.shape[1] != q.shape[2]:
+        raise ValidationError(f"Q series must have shape (T, K, K), got {q.shape}")
+    defect = np.abs(q - q.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    if np.any(defect > 1e-10 * np.maximum(1.0, np.abs(q).max(axis=(1, 2)))):
+        raise ValidationError("eigenvalue_drift requires Hermitian matrices")
+    lam = np.linalg.eigvalsh(q)[:, ::-1]
+    return np.abs(lam - lam[0])

@@ -24,10 +24,7 @@ from .ci_model import (
     FieldProfile,
     build_B,
     build_one_electron_system,
-    load_system,
     one_electron_index_map,
-    reduce_density,
-    save_system,
     verify_bplus_identities,
 )
 from .constraint_prop import ConstraintSpec, run_delay_propagation
@@ -151,10 +148,11 @@ def run_experiment(cfg: ExperimentConfig, b: BTensor | None = None,
         mode=cfg.mode, spec=spec)
     wall = time.perf_counter() - t0
     warm = cfg.ell * cfg.stride
+    m_ser = mae_series(q_model, q_true)
     report = MetricsReport(
         rmse=rmse(q_model, q_true, warm),
-        max_mae=float(mae_series(q_model, q_true)[warm + 1:].max()),
-        mae_series=mae_series(q_model, q_true),
+        max_mae=float(m_ser[warm + 1:].max()),
+        mae_series=m_ser,
         residual_series=np.array([r.residual for r in records]),
         rank_series=np.array([r.effective_rank for r in records]),
         condition_series=np.array([r.condition_number for r in records]),
@@ -168,7 +166,6 @@ def run_experiment(cfg: ExperimentConfig, b: BTensor | None = None,
         out.mkdir(parents=True, exist_ok=True)
         with open(out / f"{cfg.label}_steps.csv", "w") as fh:
             fh.write(records[0].CSV_HEADER + ",mae\n" if records else "")
-            m_ser = report.mae_series
             for r in records:
                 fh.write(r.csv_row() + f",{m_ser[r.step]:.17g}\n")
         with open(out / f"{cfg.label}_summary.json", "w") as fh:
@@ -184,10 +181,20 @@ SWEEP_COLUMNS = ("ell", "k", "dt", "total_memory", "rmse", "max_mae",
 def run_sweep(base: ExperimentConfig, axis: str, values) -> list[dict]:
     """Sweep one axis (ell, stride, or dt) and tabulate summary metrics.
 
-    dt sweeps hold the final time n_steps * dt fixed.
+    dt sweeps hold the final time n_steps * dt fixed.  dt values must be
+    positive and finite, ell and stride values finite integers (2.0 is
+    taken as 2, 2.5 is rejected).
     """
     if axis not in ("ell", "stride", "dt"):
         raise ValidationError(f"sweep axis must be ell, stride, or dt, got {axis!r}")
+    values = list(values)
+    if axis == "dt":
+        if not all(0 < v < math.inf for v in values):
+            raise ValidationError(f"dt values must be positive and finite, got {values}")
+    elif all(math.isfinite(v) and v == int(v) for v in values):
+        values = [int(v) for v in values]
+    else:
+        raise ValidationError(f"{axis} values must be finite integers, got {values}")
     b = build_B(base.system)
     total_time = base.n_steps * base.dt
     rows = []
@@ -195,9 +202,9 @@ def run_sweep(base: ExperimentConfig, axis: str, values) -> list[dict]:
     for v in values:
         cfg = ExperimentConfig(**{**base.__dict__})
         if axis == "ell":
-            cfg.ell = int(v)
+            cfg.ell = v
         elif axis == "stride":
-            cfg.stride = int(v)
+            cfg.stride = v
         else:
             cfg.dt = float(v)
             cfg.n_steps = int(round(total_time / cfg.dt))

@@ -6,8 +6,7 @@ otherwise: `pinv_thresholded` keeps real input real (float64), and
 least-squares system of the constrained solve never pays for complex
 arithmetic.  The canonical flattening convention is column-major
 ("F" order), so that for conformable matrices vec(A X B) = (B^T kron A)
-vec(X); row-major flattening exists only for exporting tensors in the
-layout used by external tabulations.
+vec(X).
 """
 
 from __future__ import annotations
@@ -16,9 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
-
-COLUMN_MAJOR = "F"
-ROW_MAJOR = "C"
 
 
 class ValidationError(ValueError):
@@ -154,20 +150,16 @@ def normal_equations_solve(a: np.ndarray, b: np.ndarray, r_tol: float) -> Normal
     return NormalSolve(x + correction, float(np.sqrt(lam[-1] / lam[0])))
 
 
-def flatten(p, order: str = COLUMN_MAJOR) -> np.ndarray:
-    """vec(p) under the given element order ("F" column-major, "C" row-major)."""
-    if order not in (COLUMN_MAJOR, ROW_MAJOR):
-        raise ValidationError(f"unknown flatten order {order!r}")
-    return as_complex_matrix(p, "p").flatten(order=order)
+def flatten(p) -> np.ndarray:
+    """vec(p), column-major."""
+    return as_complex_matrix(p, "p").flatten(order="F")
 
 
-def unflatten(v, rows: int, cols: int, order: str = COLUMN_MAJOR) -> np.ndarray:
-    if order not in (COLUMN_MAJOR, ROW_MAJOR):
-        raise ValidationError(f"unknown flatten order {order!r}")
+def unflatten(v, rows: int, cols: int) -> np.ndarray:
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != rows * cols:
         raise ValidationError(f"cannot reshape length {v.size} into {rows}x{cols}")
-    return v.reshape((rows, cols), order=order)
+    return v.reshape((rows, cols), order="F")
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

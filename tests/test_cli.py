@@ -53,6 +53,23 @@ def test_sweep_subcommand(tmp_path):
     assert len(table) == 3
 
 
+@pytest.mark.parametrize("axis,values", [
+    ("ell", "2,x"),        # not a number
+    ("dt", "0"),
+    ("dt", "nan"),
+    ("stride", "1e400"),   # parses as inf
+    ("ell", "inf"),
+    ("stride", "2.5"),     # not an integer
+])
+def test_sweep_bad_values_are_validation_errors(tmp_path, capsys, axis, values):
+    path = _gen(tmp_path)
+    rc = main(["sweep", "--system", str(path), "--steps", "120", "--axis", axis,
+               "--values", values, "--out", str(tmp_path / "sweep")])
+    assert rc == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_validate_one_electron_subcommand(capsys):
     rc = main(["validate-one-electron", "--k", "2", "--steps", "150"])
     assert rc == 0

@@ -161,10 +161,25 @@ def test_pivot_moves_past_declared_zero_diagonal():
     assert np.max(np.abs(p_hat - p)) < 1e-10
 
 
+def _kept_from_enumeration(spec):
+    """Reference free coordinates from the enumeration rule: all but the
+    pivot and the one or two coordinates of each declared zero."""
+    n = spec.n_c
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    drop = {spec.pivot}
+    for i, j in spec.zero_pairs:
+        if i == j:
+            drop.add(i)
+        else:
+            k = pairs.index((i, j))
+            drop |= {n + k, n + len(pairs) + k}
+    return [c for c in range(n * n) if c not in drop]
+
+
 def _reconstruct_from_list(spec, x_reduced, basis):
-    """Reference reconstruction, indexing with the freshly built kept list."""
+    """Reference reconstruction, indexing with the enumerated kept list."""
     x = np.zeros(basis.dim)
-    x[spec.kept_coords(basis)] = x_reduced
+    x[_kept_from_enumeration(spec)] = x_reduced
     x[spec.pivot] = spec.trace_value - (np.sum(x[:spec.n_c]) - x[spec.pivot])
     return x
 
@@ -174,7 +189,7 @@ def _assemble_dense(m, basis, spec, q_hist):
     ms = m @ _dense_s_tilde(basis.n_c)
     pivot_col = ms[:, spec.pivot].copy()
     cols = [ms[:, j] - pivot_col if j < spec.n_c else ms[:, j]
-            for j in spec.kept_coords(basis)]
+            for j in _kept_from_enumeration(spec)]
     m_red = np.column_stack(cols) if cols else np.zeros((m.shape[0], 0), dtype=complex)
     return m_red, q_hist - spec.trace_value * pivot_col
 
@@ -198,12 +213,27 @@ def test_gathered_assembly_matches_dense_product(zeros):
     x, _, _, _ = solve_constrained(m_red, b_ell, 1e-12)
     x_full = spec.reconstruct(x, basis)
     assert np.array_equal(x_full, _reconstruct_from_list(spec, x, basis))
-    kept = basis.kept_coord_index(spec)
-    assert basis.kept_coord_index(spec) is kept and not kept.flags.writeable
+    # the spec builds its plan once; the plan is read-only
+    kept = spec.kept_coords(basis)
+    assert spec.kept_coords(HermitianBasis(n)) is kept and not kept.flags.writeable
+    assert kept.tolist() == _kept_from_enumeration(spec)
     p_hat = basis.matrix(x_full)
     for i, j in zeros:
         assert p_hat[i, j] == 0.0 and p_hat[j, i] == 0.0
     assert np.trace(p_hat).real == pytest.approx(1.0, abs=1e-14)
+
+
+def test_basis_of_another_size_is_rejected():
+    # ConstraintSpec(3) with HermitianBasis(4) would otherwise assemble a
+    # 15-column system around pivot coordinate 2
+    spec, basis = ConstraintSpec(3), HermitianBasis(4)
+    m = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
+    with pytest.raises(ValidationError, match="n_c = 4.*n_c = 3"):
+        spec.kept_coords(basis)
+    with pytest.raises(ValidationError, match="n_c = 4.*n_c = 3"):
+        spec.reconstruct(np.zeros(8), basis)
+    with pytest.raises(ValidationError, match="n_c = 4.*n_c = 3"):
+        assemble_constrained_system(m, basis, spec, np.zeros(8))
 
 
 def test_step_record_csv_row_round_trip():

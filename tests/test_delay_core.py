@@ -138,6 +138,39 @@ def test_propagate_y_non_finite_propagator_names_propagation_stage():
         propagate_y(hist, r, a, DelayConfig(ell=ell))
 
 
+def _invertible_history(sigma, seed=33):
+    """n = 4, m = 2, ell = 1 history under A = U diag(sigma) V, U and V unitary."""
+    local = np.random.default_rng(seed)
+    n = len(sigma)
+    r = ReductionMap(local.standard_normal((2, n)) + 1j * local.standard_normal((2, n)))
+    a = random_unitary(n, local) @ np.diag(sigma) @ random_unitary(n, local)
+    z = local.standard_normal(n) + 1j * local.standard_normal(n)
+    hist = HistoryBuffer(1)
+    hist.push(None, r.matrix @ z)
+    hist.push(a, r.matrix @ (a @ z))
+    return r, hist, a, a @ z
+
+
+def test_propagate_y_invertible_propagators_step_back_with_the_inverse():
+    # the delay equation holds for any invertible A(t): with unitary=False
+    # build_M steps back with A^-1 instead of A^dagger
+    sigma = np.random.default_rng(8).uniform(0.5, 2.0, 4)
+    r, hist, a, z = _invertible_history(sigma)
+    exact = r.matrix @ (a @ z)
+    y_next, diag = propagate_y(hist, r, a, DelayConfig(ell=1), unitary=False)
+    assert np.max(np.abs(y_next - exact)) < 1e-12
+    assert not diag.rank_deficient
+    # the same A taken as unitary misses by O(1): the test tells the paths apart
+    y_wrong, _ = propagate_y(hist, r, a, DelayConfig(ell=1))
+    assert np.max(np.abs(y_wrong - exact)) > 1e-2
+
+
+def test_propagate_y_ill_conditioned_propagator_raises_numerical_error():
+    r, hist, a, _ = _invertible_history(np.array([1.0, 1.0, 1.0, 1e-13]))
+    with pytest.raises(NumericalError, match="condition number"):
+        propagate_y(hist, r, a, DelayConfig(ell=1), unitary=False)
+
+
 def test_near_identity_propagators_need_stride():
     # A barely differs from I, so adjacent history rows are nearly
     # dependent; a long stride restores the rank.

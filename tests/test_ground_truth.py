@@ -129,3 +129,23 @@ def test_eigenvalue_drift_nonzero_for_driven_two_electron_system():
     run = propagate_coefficients(s, 0.08268, 2000)
     qs = reduced_density_series(run, b)
     assert np.max(eigenvalue_drift(qs)) > 1e-3
+
+
+def test_eigenvalue_drift_matches_per_step_loop():
+    # reference: the per-matrix loop the batched eigvalsh replaced; both call
+    # the same LAPACK routine on each matrix, so the drifts are bitwise equal
+    s = generate_synthetic_system(4, 2, seed=7)
+    qs = reduced_density_series(propagate_coefficients(s, 0.08268, 300), build_B(s))
+    lam = [np.linalg.eigvalsh(q)[::-1] for q in qs]
+    expect = np.asarray([np.abs(v - lam[0]) for v in lam])
+    assert np.array_equal(eigenvalue_drift(qs), expect)
+
+
+def test_eigenvalue_drift_rejects_bad_series():
+    qs = np.stack([np.eye(2, dtype=complex)] * 3)
+    qs[2, 0, 1] = 1e-6  # one non-Hermitian step among Hermitian ones
+    with pytest.raises(ValidationError, match="Hermitian"):
+        eigenvalue_drift(qs)
+    for bad in (np.eye(2), np.zeros((3, 2, 3)), np.zeros((0, 2, 2))):
+        with pytest.raises(ValidationError, match="shape"):
+            eigenvalue_drift(bad)

@@ -191,11 +191,6 @@ def test_flatten_column_major():
     assert np.array_equal(flatten(p), np.array([1.0, 3.0, 2.0, 4.0]))
 
 
-def test_flatten_row_major():
-    p = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(flatten(p, order="C"), np.array([1.0, 2.0, 3.0, 4.0]))
-
-
 def test_flatten_round_trip():
     p = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert np.array_equal(unflatten(flatten(p), 4, 4), p)
