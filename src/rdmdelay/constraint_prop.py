@@ -29,6 +29,7 @@ from .numkit import (
     matexp_hermitian,  # noqa: F401  kept only for perfbench/tracing.py, which wraps it
     normal_equations_solve,
     pinv_thresholded,
+    require_hermitian,
     unflatten,
 )
 
@@ -160,14 +161,16 @@ class ConstraintSpec:
 
 
 def assemble_constrained_system(m: np.ndarray, basis: HermitianBasis,
-                                spec: ConstraintSpec, q_hist: np.ndarray):
+                                spec: ConstraintSpec, q_hist: np.ndarray, *,
+                                out: np.ndarray | None = None):
     """Reduce M x = q_hist to the free real coordinates.
 
     Returns (M'', b_ell):  M' = M S~ with the pivot column subtracted from
     the other retained diagonal columns and then deleted; M'' additionally
     drops the zero-pattern columns; b_ell = q_hist - trace_value * (M S~)
     pivot column.  S~ has at most two nonzeros per column, so the columns of
-    M S~ are gathered from M rather than multiplied out.
+    M S~ are gathered from M rather than multiplied out.  M'' is written
+    into `out`, a complex array of its shape, when one is given.
     """
     m = as_complex_matrix(m, "M")
     if m.shape[1] != basis.dim:
@@ -178,19 +181,57 @@ def assemble_constrained_system(m: np.ndarray, basis: HermitianBasis,
     _, diag, upper, lower = spec._plan_for(basis)
     pivot_col = m[:, spec.pivot * (basis.n_c + 1)]
     u, lo = m[:, upper], m[:, lower]
-    m_red = np.concatenate([m[:, diag] - pivot_col[:, None], u + lo, 1j * (u - lo)],
-                           axis=1)
+    sym = u + lo
+    # i (u - lo) in the gathered u: one large temporary fewer per step
+    anti = np.multiply(np.subtract(u, lo, out=u), 1j, out=u)
+    m_red = np.concatenate([m[:, diag] - pivot_col[:, None], sym, anti], axis=1, out=out)
     b_ell = q_hist - spec.trace_value * pivot_col
     return m_red, b_ell
+
+
+def hermitian_half(k: int):
+    """The rows of vec(Q) a constrained solve keeps for a K x K Hermitian Q.
+
+    Returns (positions, weights): the vec positions of the diagonal, then
+    of the strictly upper entries in `HermitianBasis(k)` pair order, with
+    weight 1 on the diagonal and sqrt(2) above it, so that for Hermitian Q
+    ||Q||_F^2 = sum |w_r vec(Q)_r|^2 over these K(K+1)/2 rows.
+    """
+    diag, upper, _ = HermitianBasis(k).vec_positions(np.arange(k * k))
+    return np.concatenate([diag, upper]), np.repeat([1.0, np.sqrt(2.0)], [k, len(upper)])
+
+
+def real_half_system(m_red: np.ndarray, b_ell: np.ndarray, k: int, *,
+                     out: np.ndarray | None = None):
+    """The real system (A, b) of M'' x = b_ell built on `hermitian_half(k)` rows.
+
+    m_red and b_ell hold blocks of K(K+1)/2 weighted rows each.  The real
+    system takes the real part of every row and the imaginary part of the
+    upper rows, in that order per block: K^2 real rows, the real
+    coordinates of the block in `HermitianBasis(k)` order.  The imaginary
+    parts of the diagonal rows vanish for a Hermitian-preserving M, and
+    each lower row is the conjugate of its upper row, so with the sqrt(2)
+    weights this system has the Gram matrix and A^T b of the stacked
+    system of all 2 K^2 real rows.  A is written into `out`, a float array
+    of its shape, when one is given.
+    """
+    h, cols = k * (k + 1) // 2, m_red.shape[1]
+    blocks, rhs = m_red.reshape(-1, h, cols), b_ell.reshape(-1, h)
+    if out is not None:
+        out = out.reshape(-1, k * k, cols)
+    a = np.concatenate([blocks.real, blocks[:, k:].imag], axis=1, out=out)
+    return a.reshape(-1, cols), np.concatenate([rhs.real, rhs[:, k:].imag], axis=1).ravel()
 
 
 def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float):
     """Real least-squares solve of M'' x = b_ell.
 
-    Stacking real and imaginary parts keeps the solution exactly real (it
-    is computed in real arithmetic), so the reconstructed density is
-    exactly Hermitian.  An exact real solution of the complex system also
-    solves the stacked system exactly.
+    A complex system is solved as the stack of its real and imaginary
+    parts, which keeps the solution exactly real (it is computed in real
+    arithmetic), so the reconstructed density is exactly Hermitian; an
+    exact real solution of the complex system also solves the stacked
+    system exactly.  A real system, such as `real_half_system`'s, is
+    solved as given.
 
     A well-conditioned step is solved from the normal equations by
     `numkit.normal_equations_solve`; it keeps every column, so the rank is
@@ -199,8 +240,11 @@ def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float):
     close to 1/cond) forms the thresholded pseudoinverse.  Returns
     (x, ||M'' x - b_ell||, rank, condition number).
     """
-    a = np.vstack([m_red.real, m_red.imag])
-    rhs = np.concatenate([b_ell.real, b_ell.imag])
+    if np.iscomplexobj(m_red):
+        a = np.vstack([m_red.real, m_red.imag])
+        rhs = np.concatenate([b_ell.real, b_ell.imag])
+    else:
+        a, rhs = m_red, b_ell
     fast = normal_equations_solve(a, rhs, r_tol)
     if fast is not None:
         x, cond = fast
@@ -249,8 +293,15 @@ class DelayPropagator:
     of rebuilding it.  At stride > 1 the block one step back belongs to
     another residue class t mod stride, so the stack is rebuilt every step
     from the products C_j; sliding there would need one stack per class.
-    The reduced densities live in one (ell*stride + 1, K^2) array, newest
-    row first, so the stacked history is its rows 0, stride, 2*stride, ...
+    The reduced densities live in one array, newest row first, so the
+    stacked history is its rows 0, stride, 2*stride, ...
+
+    The raw mode keeps all K^2 complex rows of every block and every Q.  The
+    constrained mode keeps only the `hermitian_half(K)` rows, the diagonal
+    and the sqrt(2)-weighted strictly upper entries of Q, in the stack and
+    in the history, and solves the `real_half_system` of K^2 real rows per
+    block instead of 2 K^2: for Hermitian P and Q the dropped rows repeat
+    the kept ones, so the least-squares objective is unchanged.
     """
 
     def __init__(self, system: CiSystem, b: BTensor, cfg: DelayConfig, dt: float,
@@ -274,19 +325,38 @@ class DelayPropagator:
             raise ValidationError("constraint spec dimension mismatch")
         self.b_tilde = b.matricized
         depth, n, k2 = cfg.depth, self.n_c, self.k_orb ** 2
-        self._q_hist = np.empty((depth + 1, k2), dtype=complex)  # vec(Q), newest row first
+        # the rows of vec(Q) that the stack and the history keep, and their weights
+        if mode == "constrained":
+            self._rows, self._weights = hermitian_half(self.k_orb)
+        else:
+            self._rows, self._weights = np.arange(k2), np.ones(k2)
+        h = len(self._rows)
+        self._q_hist = np.empty((depth + 1, h), dtype=complex)  # kept rows, newest first
         # _cprods[m-1] = C_m(t), the product of the last m step unitaries; at
         # stride 1 it is only read for the first stack after a warm start
         self._cprods = np.empty((depth, n, n), dtype=complex)
-        # _memory[j, r] = C_j B_r C_j^dagger with B_r row r of B~ read row-major;
-        # reshaped to ((ell+1) K^2, N_C^2) the stack is the memory matrix M
-        self._memory = np.empty((cfg.ell + 1, k2, n, n), dtype=complex)
-        self._memory[0] = self.b_tilde.reshape(k2, n, n)
+        # _memory[j, r] = C_j B_r C_j^dagger with B_r the r-th kept (weighted)
+        # row of B~ read row-major; reshaped to ((ell+1) h, N_C^2) the stack
+        # is the memory matrix M
+        self._memory = np.empty((cfg.ell + 1, h, n, n), dtype=complex)
+        self._memory[0] = (self._weights[:, None] * self.b_tilde[self._rows]).reshape(h, n, n)
         self._stack_current = False  # _memory holds M(t) for the next step
-        if cfg.stride == 1:
-            self._slide = np.empty((cfg.ell * k2 * n, n), dtype=complex)  # `_slide_stack`
+        # blocks 1..ell in the making: X_0 C_j^dagger in a rebuild, X_j E^dagger
+        # in a slide
+        self._work = np.empty((cfg.ell, h * n, n), dtype=complex)
+        if mode == "constrained":
+            # M'' and the real system, rewritten by every step: fresh arrays of
+            # these sizes (1.4 and 1.1 MB at N_C = 16, ell 32) cost every step
+            # a round of page faults
+            n_free = len(self.spec.kept_coords(self.basis))
+            self._m_red = np.empty(((cfg.ell + 1) * h, n_free), dtype=complex)
+            self._a = np.empty(((cfg.ell + 1) * k2, n_free))
         self._step_index = None
         self.records: list[StepRecord] = []
+
+    def _kept(self, vec_q: np.ndarray) -> np.ndarray:
+        """The kept, weighted rows of vec(Q) (last axis)."""
+        return vec_q[..., self._rows] * self._weights
 
     # -- warm start -------------------------------------------------------
 
@@ -297,7 +367,10 @@ class DelayPropagator:
         window, so that the first memory stack is available immediately.
         The unitaries come from `ground_truth.step_unitary`, so those the
         ground truth has already computed on the same system and dt are
-        reused rather than computed again.
+        reused rather than computed again.  In constrained mode every seed
+        must be finite and Hermitian (`numkit.require_hermitian`), since
+        only its diagonal and upper triangle are kept; nothing is written
+        until every seed has passed.
         """
         depth = self.cfg.depth
         if len(q_seed) != depth + 1:
@@ -308,8 +381,12 @@ class DelayPropagator:
             q = as_complex_matrix(q, "Q")
             if q.shape != (self.k_orb, self.k_orb):
                 raise ValidationError(f"seed Q has shape {q.shape}")
-            seed.append(flatten(q))
-        self._q_hist[::-1] = seed
+            seed.append(q)
+        seed = np.stack(seed)
+        if self.mode == "constrained":
+            require_hermitian(seed, name="seed Q")
+        # vec of each seed Q, column-major
+        self._q_hist[::-1] = self._kept(seed.transpose(0, 2, 1).reshape(depth + 1, -1))
         # forward products C_m = E(t - dt) ... E(t - m dt), newest factor left
         acc = np.eye(self.n_c)
         for m in range(depth):
@@ -326,11 +403,12 @@ class DelayPropagator:
         Builds the stack from the products C_j unless it is already current,
         which it is only at stride 1 after the first step past a warm start.
         """
-        n, k2 = self.n_c, self.k_orb ** 2
+        n, h = self.n_c, len(self._rows)
         if not self._stack_current:
             c = self._cprods[self.cfg.stride - 1::self.cfg.stride]  # C_j, j = 1..ell
-            b_c = self._memory[0].reshape(k2 * n, n) @ c.conj().transpose(0, 2, 1)
-            np.matmul(c[:, None], b_c.reshape(-1, k2, n, n), out=self._memory[1:])
+            b_c = np.matmul(self._memory[0].reshape(h * n, n), c.conj().transpose(0, 2, 1),
+                            out=self._work)
+            np.matmul(c[:, None], b_c.reshape(-1, h, n, n), out=self._memory[1:])
             self._stack_current = self.cfg.stride == 1
         return self._memory.reshape(-1, n * n)
 
@@ -340,18 +418,19 @@ class DelayPropagator:
         Two GEMMs over all blocks at once.  E^dagger acts on the contiguous
         last index.  For E on the first index the rows of every block are
         moved outermost, multiplied and moved back; blocks 1..ell, whose old
-        values are no longer needed once X_j E^dagger is in `_slide`, hold
+        values are no longer needed once X_j E^dagger is in `_work`, hold
         the moved rows.
         """
-        n, tail = self.n_c, self._memory[1:]
-        np.matmul(self._memory[:-1].reshape(-1, n), e.conj().T, out=self._slide)
-        np.copyto(tail.reshape(n, -1, n), self._slide.reshape(-1, n, n).transpose(1, 0, 2))
-        np.matmul(e, tail.reshape(n, -1), out=self._slide.reshape(n, -1))
-        np.copyto(tail.reshape(-1, n, n), self._slide.reshape(n, -1, n).transpose(1, 0, 2))
+        n, tail, work = self.n_c, self._memory[1:], self._work
+        np.matmul(self._memory[:-1].reshape(-1, n), e.conj().T, out=work.reshape(-1, n))
+        np.copyto(tail.reshape(n, -1, n), work.reshape(-1, n, n).transpose(1, 0, 2))
+        np.matmul(e, tail.reshape(n, -1), out=work.reshape(n, -1))
+        np.copyto(tail.reshape(-1, n, n), work.reshape(n, -1, n).transpose(1, 0, 2))
 
     def _stacked_history(self) -> np.ndarray:
-        """(vec Q(t), vec Q(t - stride dt), ..., vec Q(t - ell stride dt)); at
-        stride 1 a view of the history, which the next step overwrites."""
+        """The kept rows of vec Q(t), vec Q(t - stride dt), ...,
+        vec Q(t - ell stride dt); at stride 1 a view of the history, which
+        the next step overwrites."""
         return self._q_hist[::self.cfg.stride].ravel()
 
     def step(self) -> np.ndarray:
@@ -362,8 +441,10 @@ class DelayPropagator:
         m = self._memory_matrix()
         q_hist = self._stacked_history()
         if self.mode == "constrained":
-            m_red, b_ell = assemble_constrained_system(m, self.basis, self.spec, q_hist)
-            x_red, residual, rank, cond = solve_constrained(m_red, b_ell, self.cfg.r_tol)
+            m_red, b_ell = assemble_constrained_system(m, self.basis, self.spec, q_hist,
+                                                       out=self._m_red)
+            a, rhs = real_half_system(m_red, b_ell, self.k_orb, out=self._a)
+            x_red, residual, rank, cond = solve_constrained(a, rhs, self.cfg.r_tol)
             x = self.spec.reconstruct(x_red, self.basis)
             p_hat = self.basis.matrix(x)
         else:
@@ -386,7 +467,7 @@ class DelayPropagator:
             np.matmul(e, self._cprods[:-1], out=self._cprods[1:])
             self._cprods[0] = e
         self._q_hist[1:] = self._q_hist[:-1]
-        self._q_hist[0] = q_next_vec
+        self._q_hist[0] = self._kept(q_next_vec)
         self._step_index += 1
         min_eig = float(np.linalg.eigvalsh((p_hat + p_hat.conj().T) / 2).min())
         self.records.append(StepRecord(

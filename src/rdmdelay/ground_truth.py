@@ -15,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ci_model import BTensor, CiSystem, FieldProfile
-from .numkit import ValidationError, matexp_hermitian
+from .numkit import ValidationError, matexp_hermitian, require_hermitian
 
 __all__ = [
     "FieldProfile",
     "GroundTruthRun",
     "step_unitary",
     "release_step_unitaries",
+    "require_step_count",
     "propagate_coefficients",
     "full_density_series",
     "reduced_density_series",
@@ -73,6 +74,19 @@ def release_step_unitaries(system: CiSystem, dt: float) -> None:
     system._step_unitaries.pop(dt, None)
 
 
+def require_step_count(n_steps: int, n_c: int) -> None:
+    """Raise ValidationError unless n_steps is nonnegative and the
+    (n_steps + 1, n_c) complex trajectory of `propagate_coefficients` is
+    within numpy's array size limit."""
+    if n_steps < 0:
+        raise ValidationError(f"n_steps must be nonnegative, got {n_steps}")
+    # in Python integers, which do not wrap
+    if (int(n_steps) + 1) * n_c * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise ValidationError(f"n_steps = {n_steps:.6g} is too large: a coefficient "
+                              f"trajectory of {n_c} complex numbers per step exceeds "
+                              "numpy's array size limit")
+
+
 def propagate_coefficients(system: CiSystem, dt: float, n_steps: int,
                            a0: np.ndarray | None = None) -> GroundTruthRun:
     """Left-endpoint exponential stepping of the CI coefficients.
@@ -82,9 +96,8 @@ def propagate_coefficients(system: CiSystem, dt: float, n_steps: int,
     """
     if not 0 < dt < np.inf:
         raise ValidationError(f"dt must be positive and finite, got {dt}")
-    if n_steps < 0:
-        raise ValidationError(f"n_steps must be nonnegative, got {n_steps}")
     n_c = system.n_configs
+    require_step_count(n_steps, n_c)
     if a0 is None:
         a = np.zeros(n_c, dtype=complex)
         a[0] = 1.0
@@ -95,7 +108,11 @@ def propagate_coefficients(system: CiSystem, dt: float, n_steps: int,
         nrm = np.linalg.norm(a)
         if abs(nrm - 1.0) > 1e-10:
             raise ValidationError(f"a0 must be unit norm, got {nrm}")
-    traj = np.empty((n_steps + 1, n_c), dtype=complex)
+    try:
+        traj = np.empty((n_steps + 1, n_c), dtype=complex)
+    except MemoryError as exc:
+        raise ValidationError(f"n_steps = {n_steps:.6g}: no memory for a coefficient "
+                              f"trajectory of {n_c} complex numbers per step") from exc
     traj[0] = a
     for j in range(n_steps):
         a = step_unitary(system, j * dt, dt) @ a
@@ -120,8 +137,6 @@ def eigenvalue_drift(q_series) -> np.ndarray:
     q = np.asarray(q_series, dtype=complex)
     if q.ndim != 3 or 0 in q.shape or q.shape[1] != q.shape[2]:
         raise ValidationError(f"Q series must have shape (T, K, K), got {q.shape}")
-    defect = np.abs(q - q.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    if np.any(defect > 1e-10 * np.maximum(1.0, np.abs(q).max(axis=(1, 2)))):
-        raise ValidationError("eigenvalue_drift requires Hermitian matrices")
+    require_hermitian(q, rtol=1e-10, name="eigenvalue_drift's Q series")
     lam = np.linalg.eigvalsh(q)[:, ::-1]
     return np.abs(lam - lam[0])

@@ -40,6 +40,7 @@ from .ground_truth import (
     propagate_coefficients,
     reduced_density_series,
     release_step_unitaries,
+    require_step_count,
 )
 from .numkit import (
     ValidationError,
@@ -178,25 +179,36 @@ SWEEP_COLUMNS = ("ell", "k", "dt", "total_memory", "rmse", "max_mae",
                  "final_residual", "min_rank", "max_cond")
 
 
+def _steps_at(total_time: float, dt: float) -> int:
+    """Step count of a dt-sweep point: the base run's final time at step dt."""
+    return int(round(total_time / dt))
+
+
 def run_sweep(base: ExperimentConfig, axis: str, values) -> list[dict]:
     """Sweep one axis (ell, stride, or dt) and tabulate summary metrics.
 
     dt sweeps hold the final time n_steps * dt fixed.  dt values must be
-    positive and finite, ell and stride values finite integers (2.0 is
-    taken as 2, 2.5 is rejected).
+    positive and finite, with a step count whose trajectory numpy can
+    create, ell and stride values finite integers (2.0 is taken as 2, 2.5
+    is rejected).  Every value is checked before the first point runs.
     """
     if axis not in ("ell", "stride", "dt"):
         raise ValidationError(f"sweep axis must be ell, stride, or dt, got {axis!r}")
     values = list(values)
+    total_time = base.n_steps * base.dt
     if axis == "dt":
         if not all(0 < v < math.inf for v in values):
             raise ValidationError(f"dt values must be positive and finite, got {values}")
+        for v in values:
+            try:
+                require_step_count(_steps_at(total_time, v), base.system.n_configs)
+            except ValidationError as exc:
+                raise ValidationError(f"dt = {v:g}: {exc}") from None
     elif all(math.isfinite(v) and v == int(v) for v in values):
         values = [int(v) for v in values]
     else:
         raise ValidationError(f"{axis} values must be finite integers, got {values}")
     b = build_B(base.system)
-    total_time = base.n_steps * base.dt
     rows = []
     cache: dict[float, np.ndarray] = {}
     for v in values:
@@ -207,7 +219,7 @@ def run_sweep(base: ExperimentConfig, axis: str, values) -> list[dict]:
             cfg.stride = v
         else:
             cfg.dt = float(v)
-            cfg.n_steps = int(round(total_time / cfg.dt))
+            cfg.n_steps = _steps_at(total_time, cfg.dt)
         cfg.label = f"{base.label}_{axis}{v}"
         if cfg.dt not in cache:
             run = propagate_coefficients(cfg.system, cfg.dt, cfg.n_steps)

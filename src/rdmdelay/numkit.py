@@ -41,14 +41,21 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 
 def require_hermitian(a, rtol: float = 1e-12, name: str = "matrix") -> np.ndarray:
-    a = as_complex_matrix(a, name)
-    if a.shape[0] != a.shape[1]:
+    """a as a complex array, if it is a finite Hermitian matrix, or a stack
+    (..., n, n) of them, with max |A - A^dagger| <= rtol * max(max |A|, 1)
+    for each matrix A."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.size == 0:
+        raise ValidationError(f"{name} must be a matrix or a stack of matrices, "
+                              f"got shape {a.shape}")
+    if a.shape[-2] != a.shape[-1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
     # a NaN defect compares False against the tolerance below
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{name} has non-finite entries")
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    if hermiticity_defect(a) > rtol * scale:
+    axes = (-2, -1)
+    if np.any(np.abs(a - a.swapaxes(*axes).conj()).max(axis=axes)
+              > rtol * np.maximum(np.abs(a).max(axis=axes), 1.0)):
         raise ValidationError(f"{name} is not Hermitian within {rtol:g} (relative)")
     return a
 

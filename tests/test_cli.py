@@ -70,6 +70,19 @@ def test_sweep_bad_values_are_validation_errors(tmp_path, capsys, axis, values):
     assert not (tmp_path / "sweep").exists()
 
 
+def test_sweep_dt_too_small_for_any_trajectory_is_validation_error(tmp_path, capsys):
+    # 1e-300 asks for about 1e302 steps, beyond numpy's array size limit; the
+    # check must come before the first point (0.05) runs.  A dt whose
+    # trajectory could be allocated, such as 1e-7 (about 100 GB), is not tried.
+    path = _gen(tmp_path)
+    rc = main(["sweep", "--system", str(path), "--axis", "dt", "--values", "0.05,1e-300",
+               "--steps", "100", "--out", str(tmp_path / "sweep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and "dt = 1e-300" in err and "n_steps" in err
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_validate_one_electron_subcommand(capsys):
     rc = main(["validate-one-electron", "--k", "2", "--steps", "150"])
     assert rc == 0

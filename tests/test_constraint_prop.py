@@ -346,7 +346,12 @@ class _ProductPropagator(DelayPropagator):
     """Reference: every step rebuilds the memory stack from its own products
     C_m of the last m step unitaries, formed as ``acc @ E`` over the warm-start
     window and then by C_{m+1} = E C_m, with the batched blocks of
-    `DelayPropagator._memory_matrix`.  It never slides a stack."""
+    `DelayPropagator._memory_matrix`.  It never slides a stack.  Its blocks
+    hold the engine's row set: the kept, weighted rows of B~ (all K^2 rows
+    with weight 1 in raw mode)."""
+
+    def _b_rows(self):
+        return self._weights[:, None] * self.b_tilde[self._rows]
 
     def warm_start(self, q_seed, start_step=0):
         super().warm_start(q_seed, start_step)
@@ -360,13 +365,13 @@ class _ProductPropagator(DelayPropagator):
 
     def _blocks(self, c):
         """Rows of blocks 1..ell of M from C_j, j = 1..ell."""
-        n, k2 = self.n_c, self.k_orb ** 2
-        b_c = self.b_tilde.reshape(k2 * n, n) @ c.conj().transpose(0, 2, 1)
-        return np.matmul(c[:, None], b_c.reshape(-1, k2, n, n)).reshape(-1, n * n)
+        n, h = self.n_c, len(self._rows)
+        b_c = self._b_rows().reshape(h * n, n) @ c.conj().transpose(0, 2, 1)
+        return np.matmul(c[:, None], b_c.reshape(-1, h, n, n)).reshape(-1, n * n)
 
     def _memory_matrix(self):
         c = self._ref_prods[self.cfg.stride - 1::self.cfg.stride]
-        return np.vstack([self.b_tilde, self._blocks(c)])
+        return np.vstack([self._b_rows(), self._blocks(c)])
 
     def _slide_stack(self, e):
         pass
@@ -381,11 +386,12 @@ class _ProductPropagator(DelayPropagator):
 
 
 class _KronPropagator(_ProductPropagator):
-    """Memory blocks as dense B~ (C^T kron C^dagger) products: the reference."""
+    """Memory blocks as dense (rows of B~) (C^T kron C^dagger) products: the
+    reference."""
 
     def _blocks(self, c):
         n = self.n_c
-        return np.vstack([self.b_tilde @ np.kron(cj.T, cj.conj().T) for cj in c]
+        return np.vstack([self._b_rows() @ np.kron(cj.T, cj.conj().T) for cj in c]
                          or [np.zeros((0, n * n))])
 
 

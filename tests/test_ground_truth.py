@@ -50,6 +50,11 @@ def test_invalid_inputs_rejected():
             propagate_coefficients(s, dt, 10)
     with pytest.raises(ValidationError):
         propagate_coefficients(s, 0.1, 10, a0=np.array([1.0, 0.0, 0.0, 2.0]))
+    with pytest.raises(ValidationError, match="n_steps"):
+        propagate_coefficients(s, 0.1, -1)
+    # beyond numpy's array size limit, so nothing is allocated
+    with pytest.raises(ValidationError, match="n_steps = 1e\\+30 is too large"):
+        propagate_coefficients(s, 0.1, 10**30)
 
 
 def test_full_density_series_rank_one_trace_one():

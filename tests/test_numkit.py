@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from rdmdelay.ci_model import build_B
-from rdmdelay.constraint_prop import DelayPropagator, assemble_constrained_system
+from rdmdelay.constraint_prop import (
+    DelayPropagator,
+    assemble_constrained_system,
+    real_half_system,
+)
 from rdmdelay.delay_core import DelayConfig
 from rdmdelay.ground_truth import propagate_coefficients, reduced_density_series
 from rdmdelay.harness import generate_synthetic_system
@@ -137,8 +141,8 @@ def _real_case(name):
         u, _ = np.linalg.qr(local.standard_normal((50, sv.size)))
         v, _ = np.linalg.qr(local.standard_normal((sv.size, sv.size)))
         return (u * sv) @ v.T, local.standard_normal(50), r_tol, 10
-    # the real stacked system of the first constrained delay step at N_C=16,
-    # ell 32, stride 8 (criterion 7's configuration)
+    # the real system the propagator solves on the first constrained delay
+    # step at N_C=16, ell 32, stride 8 (criterion 7's configuration)
     s = generate_synthetic_system(16, 4, seed=5, h0_scale=10.0)
     b = build_B(s)
     cfg = DelayConfig(ell=32, stride=8, r_tol=1e-6)
@@ -148,8 +152,8 @@ def _real_case(name):
     prop.warm_start(list(q_true))
     m_red, b_ell = assemble_constrained_system(
         prop._memory_matrix(), prop.basis, prop.spec, prop._stacked_history())
-    return (np.vstack([m_red.real, m_red.imag]),
-            np.concatenate([b_ell.real, b_ell.imag]), cfg.r_tol, 255)
+    a, rhs = real_half_system(m_red, b_ell, 4)
+    return a, rhs, cfg.r_tol, 255
 
 
 @pytest.mark.parametrize("name", ["full-rank", "duplicate-column", "planted-threshold",
