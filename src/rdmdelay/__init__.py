@@ -55,6 +55,7 @@ from .ground_truth import (
     propagate_coefficients,
     reduced_density_series,
     release_step_unitaries,
+    step_unitaries,
     step_unitary,
 )
 from .harness import (
@@ -110,6 +111,7 @@ __all__ = [
     "propagate_coefficients",
     "reduced_density_series",
     "release_step_unitaries",
+    "step_unitaries",
     "step_unitary",
     "ExperimentConfig",
     "MetricsReport",

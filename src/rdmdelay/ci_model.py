@@ -47,9 +47,12 @@ class FieldProfile:
     cycles: int = 5
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValidationError(f"omega must be positive, got {self.omega}")
-        if self.cycles < 1 or int(self.cycles) != self.cycles:
+        # a NaN passes a plain comparison; an infinite omega gives cutoff 0
+        if not math.isfinite(self.amplitude):
+            raise ValidationError(f"amplitude must be finite, got {self.amplitude}")
+        if not 0 < self.omega < math.inf:
+            raise ValidationError(f"omega must be positive and finite, got {self.omega}")
+        if not 1 <= self.cycles < math.inf or int(self.cycles) != self.cycles:
             raise ValidationError(f"cycles must be a positive integer, got {self.cycles}")
 
     @property
@@ -154,9 +157,16 @@ class CiSystem:
     def n_configs(self) -> int:
         return self.index_map.n_configs
 
-    def hamiltonian(self, t: float) -> np.ndarray:
+    def hamiltonian(self, t) -> np.ndarray:
+        """H(t) = H0 + f(t) M_dip; for a 1-d array of times, the stack
+        (len(t), N_C, N_C) of H at each time."""
+        times = np.asarray(t, dtype=float)
+        if times.ndim > 1:
+            raise ValidationError(f"t must be a time or a 1-d array of times, "
+                                  f"got shape {times.shape}")
         h0 = self.h0_full if self.h0_full is not None else np.diag(self.h0_diag)
-        return h0 + self.field(t) * self.m_dip
+        f = np.array([self.field(s) for s in times.ravel()]).reshape(times.shape + (1, 1))
+        return h0 + f * self.m_dip
 
 
 class BTensor:
@@ -485,7 +495,7 @@ def load_system(path) -> CiSystem:
         fld = doc["field"]
         field_profile = FieldProfile(float(fld["amplitude"]), float(fld["omega"]),
                                      int(fld["cycles"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad system file {path}: {exc}") from exc
     if index_map.n_configs != n_c:
         raise ValidationError(f"n_configs = {n_c} but index map lists "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from .numkit import ValidationError, matexp_hermitian, require_hermitian
 __all__ = [
     "FieldProfile",
     "GroundTruthRun",
+    "UNITARY_CHUNK",
+    "step_unitaries",
     "step_unitary",
     "release_step_unitaries",
     "require_step_count",
@@ -46,27 +49,63 @@ class GroundTruthRun:
         return self.dt * np.arange(self.coefficients.shape[0])
 
 
-def step_unitary(system: CiSystem, t: float, dt: float) -> np.ndarray:
-    """The step unitary exp(-i H(t) dt), computed once per system for each
-    distinct (f(t), dt).
+# Missing step unitaries are computed this many at a time: one stacked
+# eigendecomposition per chunk spares the per-call overhead of small N_C,
+# and the chunk bounds the temporaries of a long driven horizon.
+UNITARY_CHUNK = 32
+
+
+def _field_key(f: float) -> tuple[float, float]:
+    # 0.0 and -0.0 compare equal, but H0 + f M_dip keeps the sign of a zero
+    return f, math.copysign(1.0, f)
+
+
+def step_unitaries(system: CiSystem, times: Sequence[float] | np.ndarray,
+                   dt: float) -> list[np.ndarray]:
+    """The step unitaries exp(-i H(t) dt) at each of `times` (a sequence or
+    1-d array), computed once per system for each distinct (f(t), dt).
 
     H(t) = H0 + f(t) M_dip depends on t only through the field value, so all
-    steps after the field cutoff (and t = 0) share one entry.  The entries
-    live on the system instance until `release_step_unitaries` drops them,
-    and are returned read-only; each costs N_C^2 complex numbers, so a run
-    holds one per driven step and dt.  The ground truth and the delay
-    propagators take their unitaries from here.
+    steps after the field cutoff (and t = 0) share one entry.  The distinct
+    field values not yet cached are computed in chunks of UNITARY_CHUNK
+    matrices, one `matexp_hermitian` call on the stacked Hamiltonians per
+    chunk; each unitary is then copied out of its chunk into an array of
+    its own, so that a cached entry keeps no chunk alive.  The entries live
+    on the system instance until `release_step_unitaries` drops them, and
+    are returned read-only; each costs N_C^2 complex numbers, so a run holds
+    one per driven step and dt.
     """
-    f = system.field(t)
-    # 0.0 and -0.0 compare equal, but H0 + f M_dip keeps the sign of a zero
-    key = (f, math.copysign(1.0, f))
+    if not 0 < dt < math.inf:
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
+    # one float per step, not one key tuple: a long horizon holds this list
+    fields = [system.field(t) for t in times]
     by_field = system._step_unitaries.setdefault(dt, {})
-    u = by_field.get(key)
-    if u is None:
-        u = matexp_hermitian(system.hamiltonian(t), -1j * dt)
-        u.flags.writeable = False
-        by_field[key] = u
-    return u
+    # each missing key once, with a time at which the field takes its value
+    missing = {}
+    for t, f in zip(times, fields):
+        key = _field_key(f)
+        if key not in by_field:
+            missing[key] = t
+    pending = list(missing.items())
+    for start in range(0, len(pending), UNITARY_CHUNK):
+        chunk = pending[start:start + UNITARY_CHUNK]
+        stack = matexp_hermitian(system.hamiltonian([t for _, t in chunk]), -1j * dt)
+        for (key, _), u in zip(chunk, stack):
+            u = u.copy()
+            u.flags.writeable = False
+            by_field[key] = u
+    return [by_field[_field_key(f)] for f in fields]
+
+
+def step_unitary(system: CiSystem, t: float, dt: float) -> np.ndarray:
+    """The step unitary exp(-i H(t) dt) of `step_unitaries` at one time.
+
+    A cached entry is a dictionary lookup; a miss goes through
+    `step_unitaries`.  The ground truth and the delay propagators take their
+    unitaries from here or from `step_unitaries`.
+    """
+    u = system._step_unitaries.get(dt, {}).get(_field_key(system.field(t)))
+    return u if u is not None else step_unitaries(system, [t], dt)[0]
 
 
 def release_step_unitaries(system: CiSystem, dt: float) -> None:
@@ -89,10 +128,14 @@ def require_step_count(n_steps: int, n_c: int) -> None:
 
 def propagate_coefficients(system: CiSystem, dt: float, n_steps: int,
                            a0: np.ndarray | None = None) -> GroundTruthRun:
-    """Left-endpoint exponential stepping of the CI coefficients.
+    """Left-endpoint exponential stepping of the CI coefficients,
+    a(t + dt) = exp(-i H(t) dt) a(t).
 
     a(0) defaults to the first basis vector (the system prepared in the
-    lowest CI state when H0 is diagonal and sorted).
+    lowest CI state when H0 is diagonal and sorted); a given a0 must be
+    finite and of unit norm.  All step unitaries of the horizon come from
+    one `step_unitaries` call, which computes the missing ones in chunks;
+    the matrix-vector products then run in order.
     """
     if not 0 < dt < np.inf:
         raise ValidationError(f"dt must be positive and finite, got {dt}")
@@ -105,6 +148,9 @@ def propagate_coefficients(system: CiSystem, dt: float, n_steps: int,
         a = np.asarray(a0, dtype=complex).ravel()
         if a.shape != (n_c,):
             raise ValidationError(f"a0 has length {a.size}, expected {n_c}")
+        # a NaN norm passes the comparison below
+        if not np.isfinite(a).all():
+            raise ValidationError("a0 has non-finite entries")
         nrm = np.linalg.norm(a)
         if abs(nrm - 1.0) > 1e-10:
             raise ValidationError(f"a0 must be unit norm, got {nrm}")
@@ -114,8 +160,8 @@ def propagate_coefficients(system: CiSystem, dt: float, n_steps: int,
         raise ValidationError(f"n_steps = {n_steps:.6g}: no memory for a coefficient "
                               f"trajectory of {n_c} complex numbers per step") from exc
     traj[0] = a
-    for j in range(n_steps):
-        a = step_unitary(system, j * dt, dt) @ a
+    for j, u in enumerate(step_unitaries(system, dt * np.arange(n_steps), dt)):
+        a = u @ a
         traj[j + 1] = a
     return GroundTruthRun(system=system, dt=dt, coefficients=traj)
 

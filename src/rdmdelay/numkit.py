@@ -63,12 +63,15 @@ def require_hermitian(a, rtol: float = 1e-12, name: str = "matrix") -> np.ndarra
 def matexp_hermitian(h, scale: complex) -> np.ndarray:
     """exp(scale * h) for Hermitian h, via eigendecomposition h = V L V^dagger.
 
+    h may be one matrix or a stack (..., n, n) of them; each matrix of the
+    stack gets the exponential it would get on its own, bit for bit (one
+    `eigh` and one `matmul` over the stack, each looping over the matrices).
     For purely imaginary scale the result is unitary to machine precision,
     which is why this is preferred over scaling-and-squaring here.
     """
     h = require_hermitian(h, rtol=1e-12, name="h")
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ v.conj().T
+    return (v * np.exp(scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 class PinvResult(NamedTuple):

@@ -4,9 +4,12 @@ perfbench/ has its own suite (`python -m pytest perfbench`); these checks
 keep a rename or deletion in src/ from breaking the benchmark unnoticed.
 """
 
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+from rdmdelay.ground_truth import UNITARY_CHUNK
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -33,4 +36,9 @@ def test_traced_workloads_run_and_restore_originals():
         assert vars(owner)[attr] is original
     totals = tracer.totals()
     assert totals["constraint_prop.step"]["calls"] == 120 - delay.depth
+    # the run's 85 distinct field values are computed in stacked chunks; the
+    # warm start and every delay step hit the cache
+    chunks = math.ceil(85 / UNITARY_CHUNK)
+    assert totals["numkit.matexp_hermitian"]["calls"] == chunks
+    assert totals["ci_model.hamiltonian"]["calls"] == chunks
     assert totals["delay_core.propagate_y"]["calls"] == mz.steps - mz.cfg.depth

@@ -47,6 +47,29 @@ def test_field_profile_exact_cutoff():
     assert f(1e9) == 0.0
 
 
+@pytest.mark.parametrize("amplitude, omega, cycles", [
+    (np.nan, 0.9, 5), (np.inf, 0.9, 5), (-np.inf, 0.9, 5), (0.5, np.nan, 5), (0.5, np.inf, 5),
+    (0.5, 0.0, 5), (0.5, 0.9, np.nan), (0.5, 0.9, np.inf),
+])
+def test_field_profile_rejects_non_finite_parameters(amplitude, omega, cycles):
+    with pytest.raises(ValidationError):
+        FieldProfile(amplitude=amplitude, omega=omega, cycles=cycles)
+
+
+def test_hamiltonian_stack_matches_single_times():
+    s = _all_pairs_system(2, seed=4)
+    s = CiSystem(**{f: getattr(s, f) for f in ("n_electrons", "n_orbitals", "c_matrix",
+                                               "index_map", "h0_diag", "m_dip")},
+                 field=FieldProfile(-0.5, 0.9, 1))
+    times = [0.0, 0.3, 2.0, 1e3]  # f = -0.0 at t = 0, 0.0 after the cutoff
+    stack = s.hamiltonian(np.array(times))
+    assert stack.shape == (4, 6, 6)
+    assert stack.tobytes() == np.stack([s.hamiltonian(t) for t in times]).tobytes()
+    assert s.hamiltonian([]).shape == (0, 6, 6)
+    with pytest.raises(ValidationError, match="1-d array"):
+        s.hamiltonian(np.zeros((2, 2)))
+
+
 def test_index_map_rejects_duplicates_and_range():
     with pytest.raises(ValidationError):
         DeterminantIndexMap(2, 4, ((1, 2), (2, 1)))  # same determinant reordered

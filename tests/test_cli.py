@@ -106,7 +106,29 @@ def test_bad_system_content_is_validation_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("key, value", [("cycles", float("inf")), ("amplitude", float("nan"))])
+def test_non_finite_field_in_system_file_is_validation_error(tmp_path, capsys, key, value):
+    path = _gen(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["field"][key] = value  # written as Infinity / NaN, which json reads back
+    path.write_text(json.dumps(doc))
+    rc = main(["ground-truth", "--system", str(path), "--steps", "5",
+               "--out", str(tmp_path / "gt")])
+    assert rc == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "gt").exists()
+
+
 def test_gen_system_bad_count_is_validation_error(tmp_path):
     rc = main(["gen-system", "--nc", "5", "--k", "2",
                "--out", str(tmp_path / "s.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("option, value", [("--amplitude", "nan"), ("--omega", "inf")])
+def test_gen_system_non_finite_field_is_validation_error(tmp_path, capsys, option, value):
+    out = tmp_path / "s.json"
+    rc = main(["gen-system", "--nc", "4", "--k", "2", option, value, "--out", str(out)])
+    assert rc == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not out.exists()

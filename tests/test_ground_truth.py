@@ -50,6 +50,9 @@ def test_invalid_inputs_rejected():
             propagate_coefficients(s, dt, 10)
     with pytest.raises(ValidationError):
         propagate_coefficients(s, 0.1, 10, a0=np.array([1.0, 0.0, 0.0, 2.0]))
+    # a NaN norm would pass the unit-norm check and make the trajectory NaN
+    with pytest.raises(ValidationError, match="a0 has non-finite"):
+        propagate_coefficients(s, 0.1, 10, a0=np.array([1.0, np.nan, 0.0, 0.0]))
     with pytest.raises(ValidationError, match="n_steps"):
         propagate_coefficients(s, 0.1, -1)
     # beyond numpy's array size limit, so nothing is allocated

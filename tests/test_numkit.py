@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdmdelay.ci_model import build_B
 from rdmdelay.constraint_prop import (
@@ -79,6 +81,18 @@ def test_matexp_unitary_for_imaginary_scale():
     h = random_hermitian(5, rng)
     u = matexp_hermitian(h, -0.37j)
     assert np.max(np.abs(u @ u.conj().T - np.eye(5))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       dt=st.floats(1e-4, 1.0))
+def test_matexp_stack_equals_per_matrix_calls_bitwise(n, count, seed, dt):
+    local = np.random.default_rng(seed)
+    h = np.stack([random_hermitian(n, local, scale=10.0) for _ in range(count)])
+    stacked = matexp_hermitian(h, -1j * dt)
+    single = np.stack([matexp_hermitian(m, -1j * dt) for m in h])
+    assert stacked.shape == (count, n, n)
+    assert stacked.tobytes() == single.tobytes()
 
 
 def test_matexp_rejects_non_hermitian():

@@ -1,10 +1,10 @@
 """The shared step unitaries against the direct exp(-i H(t) dt) they replace.
 
-`ground_truth.step_unitary` computes each step unitary once per system and
-distinct (f(t), dt).  The reference path computes
-``matexp_hermitian(system.hamiltonian(t), -1j * dt)`` afresh at every call,
-as the ground truth and the delay propagator did before the unitaries were
-shared; the results must agree bit for bit.
+`ground_truth.step_unitaries` computes each step unitary once per system and
+distinct (f(t), dt), the missing ones in stacked chunks.  The reference path
+computes ``matexp_hermitian(system.hamiltonian(t), -1j * dt)`` afresh at
+every call, as the ground truth and the delay propagator did before the
+unitaries were shared; the results must agree bit for bit.
 """
 
 import dataclasses
@@ -20,13 +20,15 @@ from rdmdelay.ci_model import FieldProfile, build_B
 from rdmdelay.constraint_prop import run_delay_propagation
 from rdmdelay.delay_core import DelayConfig
 from rdmdelay.ground_truth import (
+    UNITARY_CHUNK,
     propagate_coefficients,
     reduced_density_series,
     release_step_unitaries,
+    step_unitaries,
     step_unitary,
 )
 from rdmdelay.harness import ExperimentConfig, generate_synthetic_system, run_sweep
-from rdmdelay.numkit import matexp_hermitian
+from rdmdelay.numkit import ValidationError, matexp_hermitian
 
 DT_COARSE = 0.08268
 DT_FINE = 0.008268
@@ -79,15 +81,80 @@ def test_shared_unitaries_reproduce_direct_path_bitwise(monkeypatch, system, dt,
 
 @pytest.fixture
 def calls(monkeypatch):
-    """The scale of every step unitary computed (not served from the cache)."""
+    """The scale of every step unitary computed (not served from the cache),
+    once per matrix of each stacked call."""
     seen = []
 
     def counting(h, scale):
-        seen.append(scale)
+        seen.extend([scale] * math.prod(np.shape(h)[:-2]))
         return matexp_hermitian(h, scale)
 
     monkeypatch.setattr(ground_truth, "matexp_hermitian", counting)
     return seen
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """The number of matrices in each `matexp_hermitian` call."""
+    seen = []
+
+    def counting(h, scale):
+        seen.append(math.prod(np.shape(h)[:-2]))
+        return matexp_hermitian(h, scale)
+
+    monkeypatch.setattr(ground_truth, "matexp_hermitian", counting)
+    return seen
+
+
+def _chunks(n_missing):
+    full, rest = divmod(n_missing, UNITARY_CHUNK)
+    return [UNITARY_CHUNK] * full + ([rest] if rest else [])
+
+
+def test_missing_unitaries_come_in_chunks(stacks):
+    # 200 driven steps of the five-cycle field: 200 distinct f
+    system = generate_synthetic_system(4, 2, seed=3)
+    propagate_coefficients(system, DT_COARSE, 200)
+    assert stacks == _chunks(200)
+    # one-cycle field: 85 distinct f over 400 steps
+    stacks.clear()
+    propagate_coefficients(_one_cycle_nc4(), DT_COARSE, 400)
+    assert stacks == _chunks(85)
+    assert max(stacks) == UNITARY_CHUNK
+
+
+def test_empty_or_cached_horizon_computes_nothing(stacks):
+    system = _one_cycle_nc4()
+    run = propagate_coefficients(system, DT_COARSE, 0)
+    assert run.coefficients.shape == (1, 4) and step_unitaries(system, [], DT_COARSE) == []
+    assert stacks == []
+    first = propagate_coefficients(system, DT_COARSE, 120)
+    assert stacks == _chunks(85)
+    again = propagate_coefficients(system, DT_COARSE, 120)
+    assert stacks == _chunks(85)
+    assert _same_bits(first.coefficients, again.coefficients)
+    times = [j * DT_COARSE for j in range(120)]
+    assert all(u is step_unitary(system, t, DT_COARSE)
+               for u, t in zip(step_unitaries(system, times, DT_COARSE), times))
+
+
+def test_cached_unitaries_own_their_data_and_are_read_only():
+    system = generate_synthetic_system(4, 2, seed=3)
+    propagate_coefficients(system, DT_COARSE, 70)
+    cached = list(system._step_unitaries[DT_COARSE].values())
+    assert len(cached) == 70
+    for u in cached:
+        assert u.flags.owndata and u.base is None and not u.flags.writeable
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.1])
+def test_invalid_step_never_reaches_the_cache(dt):
+    system = _one_cycle_nc4()
+    with pytest.raises(ValidationError, match="dt must be positive and finite"):
+        step_unitaries(system, [0.0, 0.5], dt)
+    with pytest.raises(ValidationError, match="dt must be positive and finite"):
+        step_unitary(system, 0.5, dt)
+    assert system._step_unitaries == {}
 
 
 def test_unitaries_computed_once_per_field_value(calls):
