@@ -52,7 +52,8 @@ class FieldProfile:
             raise ValidationError(f"amplitude must be finite, got {self.amplitude}")
         if not 0 < self.omega < math.inf:
             raise ValidationError(f"omega must be positive and finite, got {self.omega}")
-        if not 1 <= self.cycles < math.inf or int(self.cycles) != self.cycles:
+        if (isinstance(self.cycles, bool) or not 1 <= self.cycles < math.inf
+                or int(self.cycles) != self.cycles):
             raise ValidationError(f"cycles must be a positive integer, got {self.cycles}")
 
     @property
@@ -493,8 +494,10 @@ def load_system(path) -> CiSystem:
         index_map = DeterminantIndexMap(
             n, 2 * k, tuple(tuple(t) for t in doc["index_map"]))
         fld = doc["field"]
+        # cycles goes through unconverted, so that FieldProfile rejects a
+        # fractional count instead of int() truncating it
         field_profile = FieldProfile(float(fld["amplitude"]), float(fld["omega"]),
-                                     int(fld["cycles"]))
+                                     fld["cycles"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad system file {path}: {exc}") from exc
     if index_map.n_configs != n_c:

@@ -210,14 +210,27 @@ def mori_zwanzig_propagate(a, r: ReductionMap, y0, ytilde0, steps: int,
 
         y(t+1) = B11 y(t) + sum_s B12 B22^s B21 y(t-1-s) + B12 B22^t ytilde(0).
 
-    Returns (trajectory, diverged) where trajectory[t] = y(t) for t = 0..steps
-    and diverged flags ||y(t)|| exceeding 1e3 ||y(0)||.  With
-    ``truncate_memory_half`` only the most recent half of the memory terms is
-    summed (used to demonstrate that truncation is not benign).
+    Returns (trajectory, diverged): trajectory is a (steps+1, m) array with
+    trajectory[t] = y(t), and diverged flags some ||y(t)||, t >= 1, exceeding
+    1e3 ||y(0)||.  With ``truncate_memory_half`` only the most recent half of
+    the memory terms is summed (used to demonstrate that truncation is not
+    benign).  The kernels B12 B22^s B21 are stacked once, so each step sums
+    its memory with one matrix-vector product: O(steps) Python iterations and
+    O(steps^2 m^2) flops.  A y(t) that overflows raises `NumericalError`
+    naming the first such step t.
     """
     a = as_complex_matrix(a, "a")
     if a.shape != (r.n, r.n):
         raise ValidationError(f"a has shape {a.shape}, expected {(r.n, r.n)}")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
+    y0 = np.asarray(y0, dtype=complex).ravel()
+    ytilde0 = np.asarray(ytilde0, dtype=complex).ravel()
+    for name, v, size in (("y0", y0, r.m), ("ytilde0", ytilde0, r.n - r.m)):
+        if v.size != size:
+            raise ValidationError(f"{name} has {v.size} entries, expected {size}")
+    if not (np.isfinite(a).all() and np.isfinite(y0).all() and np.isfinite(ytilde0).all()):
+        raise ValidationError("a, y0 and ytilde0 must be finite")
     if rtilde is None:
         rtilde = complete_reduction_basis(r)
     rbig = np.vstack([r.matrix, as_complex_matrix(rtilde, "rtilde")])
@@ -231,25 +244,29 @@ def mori_zwanzig_propagate(a, r: ReductionMap, y0, ytilde0, steps: int,
     b11, b12 = b[:m, :m], b[:m, m:]
     b21, b22 = b[m:, :m], b[m:, m:]
 
-    y0 = np.asarray(y0, dtype=complex).ravel()
-    ytilde0 = np.asarray(ytilde0, dtype=complex).ravel()
-    traj = [y0]
-    kernels = []  # kernels[s] = B12 B22^s B21
+    kernels = np.empty((m, steps, m), dtype=complex)  # kernels[:, s] = B12 B22^s B21
+    forcing = np.empty((steps, m), dtype=complex)  # forcing[t] = B12 B22^t ytilde(0)
     b22_pow = np.eye(b22.shape[0], dtype=complex)  # B22^t
-    norm0 = max(float(np.linalg.norm(y0)), np.finfo(float).tiny)
-    diverged = False
     for t in range(steps):
-        y_next = b11 @ traj[t] + b12 @ (b22_pow @ ytilde0)
-        n_terms = t
-        if truncate_memory_half:
-            n_terms = (t + 1) // 2
-        for s in range(n_terms):
-            y_next = y_next + kernels[s] @ traj[t - 1 - s]
-        kernels.append(b12 @ b22_pow @ b21)
+        kernels[:, t] = b12 @ b22_pow @ b21
+        forcing[t] = b12 @ (b22_pow @ ytilde0)
         b22_pow = b22 @ b22_pow
-        traj.append(y_next)
-        if np.linalg.norm(y_next) > 1e3 * norm0:
-            diverged = True
+    # rev[steps - t] = y(t): the memory of step t, y(t-1), y(t-2), ..., is
+    # the contiguous run of rows after y(t)
+    rev = np.empty((steps + 1, m), dtype=complex)
+    rev[steps] = y0
+    for t in range(steps):
+        i = steps - t
+        n_terms = (t + 1) // 2 if truncate_memory_half else t
+        rev[i - 1] = (b11 @ rev[i] + forcing[t]
+                      + kernels[:, :n_terms].reshape(m, -1) @ rev[i + 1:i + 1 + n_terms].ravel())
+    traj = rev[::-1]
+    finite = np.isfinite(traj).all(axis=1)
+    if not finite.all():
+        raise NumericalError(
+            f"mori_zwanzig_propagate: y({int(np.argmin(finite))}) is not finite")
+    norm0 = max(float(np.linalg.norm(y0)), np.finfo(float).tiny)
+    diverged = bool((np.linalg.norm(traj[1:], axis=1) > 1e3 * norm0).any())
     return traj, diverged
 
 

@@ -32,6 +32,7 @@ from .delay_core import (
     DelayConfig,
     HistoryBuffer,
     ReductionMap,
+    complete_reduction_basis,
     mori_zwanzig_propagate,
     propagate_y,
 )
@@ -338,8 +339,15 @@ def mz_compare(dim: int, m_reduced: int, steps: int, seed: int = 0,
 
     Builds a constant unitary (diagonal or dense) of size `dim`, observes the
     first `m_reduced` coordinates, and propagates the reduced vector with
-    both schemes against direct full-state propagation.
+    both schemes against direct full-state propagation.  The delay scheme
+    needs ell = max(dim // m_reduced - 1, 1) exact steps to fill its window,
+    so `steps` must be at least ell.
     """
+    if not 1 <= m_reduced < dim:
+        raise ValidationError(f"need 1 <= m_reduced < dim, got m_reduced {m_reduced}, dim {dim}")
+    ell = max(dim // m_reduced - 1, 1)
+    if steps < ell:
+        raise ValidationError(f"steps must be at least the delay depth {ell}, got {steps}")
     rng = np.random.default_rng(seed)
     if diagonal:
         a = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
@@ -354,14 +362,12 @@ def mz_compare(dim: int, m_reduced: int, steps: int, seed: int = 0,
         zs.append(a @ zs[-1])
     direct = np.asarray([r.matrix @ z for z in zs])
     # Mori-Zwanzig with orthonormal completion and exact unobserved start
-    from .delay_core import complete_reduction_basis
     rtilde = complete_reduction_basis(r)
     mz_traj, diverged = mori_zwanzig_propagate(
         a, r, direct[0], rtilde @ z0, steps,
         rtilde=rtilde, truncate_memory_half=truncate_memory_half)
-    mz_err = float(max(np.linalg.norm(y - d) for y, d in zip(mz_traj, direct)))
+    mz_err = float(np.linalg.norm(mz_traj - direct, axis=1).max())
     # delay scheme with ell >= floor(n/m) - 1
-    ell = max(dim // m_reduced - 1, 1)
     cfg = DelayConfig(ell=ell, stride=1)
     hist = HistoryBuffer(depth=cfg.depth)
     for j in range(cfg.depth + 1):
@@ -371,8 +377,7 @@ def mz_compare(dim: int, m_reduced: int, steps: int, seed: int = 0,
         y_next, _ = propagate_y(hist, r, a, cfg)
         delay_traj.append(y_next)
         hist.push(a, y_next)
-    delay_err = float(max(np.linalg.norm(y - d)
-                          for y, d in zip(delay_traj, direct)))
+    delay_err = float(np.linalg.norm(np.asarray(delay_traj) - direct, axis=1).max())
     return {
         "dim": dim, "m": m_reduced, "steps": steps, "diagonal": diagonal,
         "mz_max_error": mz_err, "mz_diverged": bool(diverged),

@@ -252,3 +252,6 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(s2.m_dip, s.m_dip)
     assert s2.index_map.combos == s.index_map.combos
     assert s2.field == s.field
+    again = tmp_path / "again.json"
+    save_system(s2, again)
+    assert again.read_bytes() == path.read_bytes()

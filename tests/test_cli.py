@@ -93,6 +93,18 @@ def test_mz_compare_subcommand(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--steps", "0"], "delay depth"),
+    (["--dim", "8", "--steps", "2"], "delay depth"),
+    (["--m", "0"], "m_reduced"),
+    (["--dim", "8", "--m", "8"], "m_reduced"),
+])
+def test_mz_compare_bad_sizes_are_validation_errors(capsys, args, message):
+    rc = main(["mz-compare", *args])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_system_file_is_validation_error(tmp_path):
     rc = main(["ground-truth", "--system", str(tmp_path / "nope.json"),
                "--steps", "10", "--out", str(tmp_path / "x")])
@@ -116,6 +128,19 @@ def test_non_finite_field_in_system_file_is_validation_error(tmp_path, capsys, k
                "--out", str(tmp_path / "gt")])
     assert rc == 2
     assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "gt").exists()
+
+
+@pytest.mark.parametrize("cycles", [2.5, True])
+def test_non_integer_cycles_in_system_file_is_validation_error(tmp_path, capsys, cycles):
+    path = _gen(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["field"]["cycles"] = cycles
+    path.write_text(json.dumps(doc))
+    rc = main(["ground-truth", "--system", str(path), "--steps", "5",
+               "--out", str(tmp_path / "gt")])
+    assert rc == 2
+    assert "cycles" in capsys.readouterr().err
     assert not (tmp_path / "gt").exists()
 
 

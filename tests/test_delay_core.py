@@ -252,3 +252,104 @@ def test_mori_zwanzig_diagonal_unitary_long_run():
     err = max(np.max(np.abs(traj[t] - q @ direct[t])) for t in range(201))
     assert err < 1e-8
     assert not diverged
+
+
+def _mz_reference(a, r, y0, ytilde0, steps, rtilde, truncate_memory_half=False):
+    """The Mori-Zwanzig sum as a per-term double loop, the reference for the
+    stacked-kernel sum."""
+    rbig = np.vstack([r.matrix, rtilde])
+    b = rbig @ a @ np.linalg.inv(rbig)
+    m = r.m
+    b11, b12, b21, b22 = b[:m, :m], b[:m, m:], b[m:, :m], b[m:, m:]
+    traj = [np.asarray(y0, dtype=complex)]
+    kernels = []
+    b22_pow = np.eye(b22.shape[0], dtype=complex)
+    norm0 = np.linalg.norm(y0)
+    diverged = False
+    for t in range(steps):
+        y_next = b11 @ traj[t] + b12 @ (b22_pow @ ytilde0)
+        n_terms = (t + 1) // 2 if truncate_memory_half else t
+        for s in range(n_terms):
+            y_next = y_next + kernels[s] @ traj[t - 1 - s]
+        kernels.append(b12 @ b22_pow @ b21)
+        b22_pow = b22 @ b22_pow
+        traj.append(y_next)
+        diverged = diverged or np.linalg.norm(y_next) > 1e3 * norm0
+    return traj, diverged
+
+
+def _mz_case(n, m, kind, seed=31):
+    local = np.random.default_rng(seed)
+    if kind == "diagonal":
+        a = np.diag(np.exp(1j * local.uniform(-np.pi, np.pi, n)))
+    elif kind == "growing":
+        a = 1.05 * random_unitary(n, local)
+    else:
+        a = random_unitary(n, local)
+    r = ReductionMap(np.eye(n)[:m] + 0j)
+    rt = complete_reduction_basis(r)
+    if kind == "skewed":
+        # a non-orthonormal completion: mixed and rescaled complement rows
+        # plus a share of R's rows, still invertible when stacked with R
+        mix = np.eye(n - m) + 0.3 * local.standard_normal((n - m, n - m))
+        rt = 2.0 * mix @ rt + 0.5 * local.standard_normal((n - m, m)) @ r.matrix
+    z0 = local.standard_normal(n) + 1j * local.standard_normal(n)
+    return a, r, r.matrix @ z0, rt @ z0, rt
+
+
+@pytest.mark.parametrize("n, m, kind, steps, truncate, diverges", [
+    (16, 4, "dense", 200, False, False),
+    (8, 4, "diagonal", 200, False, False),
+    (8, 2, "dense", 61, True, False),
+    (8, 2, "dense", 60, True, False),
+    (6, 3, "dense", 0, False, False),
+    (6, 3, "dense", 1, False, False),
+    (6, 3, "dense", 1, True, False),
+    (7, 3, "skewed", 80, False, False),
+    # max ||y(t)|| / ||y(0)|| is 3.0e2 at 120 steps and 2.9e3 at 160
+    (6, 2, "growing", 120, False, False),
+    (6, 2, "growing", 160, False, True),
+])
+def test_mori_zwanzig_matches_double_loop(n, m, kind, steps, truncate, diverges):
+    a, r, y0, yt0, rt = _mz_case(n, m, kind)
+    traj, diverged = mori_zwanzig_propagate(a, r, y0, yt0, steps, rtilde=rt,
+                                            truncate_memory_half=truncate)
+    ref, ref_diverged = _mz_reference(a, r, y0, yt0, steps, rt, truncate)
+    ref = np.asarray(ref)
+    assert traj.shape == (steps + 1, m)
+    assert diverged == ref_diverged == diverges
+    assert np.max(np.abs(traj - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("steps", [-1, 2.5, True])
+def test_mori_zwanzig_rejects_bad_steps(steps):
+    a, r, y0, yt0, rt = _mz_case(6, 3, "dense")
+    with pytest.raises(ValidationError, match="steps"):
+        mori_zwanzig_propagate(a, r, y0, yt0, steps, rtilde=rt)
+
+
+@pytest.mark.parametrize("which", ["y0", "ytilde0"])
+def test_mori_zwanzig_rejects_wrong_length_start(which):
+    a, r, y0, yt0, rt = _mz_case(6, 3, "dense")
+    args = {"y0": y0, "ytilde0": yt0}
+    args[which] = np.append(args[which], 1.0)
+    with pytest.raises(ValidationError, match=which):
+        mori_zwanzig_propagate(a, r, args["y0"], args["ytilde0"], 5, rtilde=rt)
+
+
+@pytest.mark.parametrize("which, value", [
+    ("a", np.inf), ("a", np.nan), ("y0", np.nan), ("ytilde0", -np.inf)])
+def test_mori_zwanzig_rejects_non_finite_input(which, value):
+    a, r, y0, yt0, rt = _mz_case(6, 3, "dense")
+    args = {"a": a.copy(), "y0": y0.copy(), "ytilde0": yt0.copy()}
+    args[which].flat[0] = value
+    with pytest.raises(ValidationError, match="finite"):
+        mori_zwanzig_propagate(args["a"], r, args["y0"], args["ytilde0"], 5, rtilde=rt)
+
+
+def test_mori_zwanzig_overflow_names_first_step():
+    r = ReductionMap(np.eye(4)[:2] + 0j)
+    # y(t) = 1e200^t y(0): y(1) is finite, y(2) overflows
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match=r"y\(2\)"):
+            mori_zwanzig_propagate(1e200 * np.eye(4), r, np.ones(2), np.ones(2), 6)
