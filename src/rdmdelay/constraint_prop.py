@@ -433,6 +433,10 @@ class DelayPropagator:
         the next step overwrites."""
         return self._q_hist[::self.cfg.stride].ravel()
 
+    def _solve_stage_error(self, t: float, what: str) -> NumericalError:
+        return NumericalError(f"step {self._step_index + 1} (t = {t:.6g}): the "
+                              f"{self.mode} solve stage {what}")
+
     def step(self) -> np.ndarray:
         """Advance one step: reconstruct P(t), apply the superoperator, emit Q(t+dt)."""
         if self._step_index is None:
@@ -440,21 +444,25 @@ class DelayPropagator:
         t = self._step_index * self.dt
         m = self._memory_matrix()
         q_hist = self._stacked_history()
-        if self.mode == "constrained":
-            m_red, b_ell = assemble_constrained_system(m, self.basis, self.spec, q_hist,
-                                                       out=self._m_red)
-            a, rhs = real_half_system(m_red, b_ell, self.k_orb, out=self._a)
-            x_red, residual, rank, cond = solve_constrained(a, rhs, self.cfg.r_tol)
-            x = self.spec.reconstruct(x_red, self.basis)
-            p_hat = self.basis.matrix(x)
-        else:
-            pinv, rank, cond = pinv_thresholded(m, self.cfg.r_tol)
-            vec_p = pinv @ q_hist
-            residual = float(np.linalg.norm(m @ vec_p - q_hist))
-            p_hat = unflatten(vec_p, self.n_c, self.n_c)
+        # a non-finite system makes the gate raise NumericalError and the
+        # SVD raise LinAlgError; both are reported with the step
+        try:
+            if self.mode == "constrained":
+                m_red, b_ell = assemble_constrained_system(m, self.basis, self.spec, q_hist,
+                                                           out=self._m_red)
+                a, rhs = real_half_system(m_red, b_ell, self.k_orb, out=self._a)
+                x_red, residual, rank, cond = solve_constrained(a, rhs, self.cfg.r_tol)
+                x = self.spec.reconstruct(x_red, self.basis)
+                p_hat = self.basis.matrix(x)
+            else:
+                pinv, rank, cond = pinv_thresholded(m, self.cfg.r_tol)
+                vec_p = pinv @ q_hist
+                residual = float(np.linalg.norm(m @ vec_p - q_hist))
+                p_hat = unflatten(vec_p, self.n_c, self.n_c)
+        except (NumericalError, np.linalg.LinAlgError) as exc:
+            raise self._solve_stage_error(t, f"failed: {exc}") from exc
         if not np.all(np.isfinite(p_hat)):
-            raise NumericalError(f"step {self._step_index + 1} (t = {t:.6g}): the "
-                                 f"{self.mode} solve stage produced non-finite values")
+            raise self._solve_stage_error(t, "produced non-finite values")
         e = step_unitary(self.system, t, self.dt)
         p_next = e @ p_hat @ e.conj().T
         q_next_vec = self.b_tilde @ flatten(p_next)

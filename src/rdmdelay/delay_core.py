@@ -11,6 +11,7 @@ the same partially observed setting is provided for comparison.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -71,12 +72,13 @@ class DelayConfig:
     r_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.ell < 0:
-            raise ValidationError(f"ell must be >= 0, got {self.ell}")
-        if self.stride < 1:
-            raise ValidationError(f"stride must be >= 1, got {self.stride}")
-        if self.r_tol < 0:
-            raise ValidationError(f"r_tol must be >= 0, got {self.r_tol}")
+        for name, low in (("ell", 0), ("stride", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
+        # a NaN fails both comparisons
+        if not 0 <= self.r_tol < math.inf:
+            raise ValidationError(f"r_tol must be finite and >= 0, got {self.r_tol}")
 
     @property
     def depth(self) -> int:
@@ -247,19 +249,22 @@ def mori_zwanzig_propagate(a, r: ReductionMap, y0, ytilde0, steps: int,
     kernels = np.empty((m, steps, m), dtype=complex)  # kernels[:, s] = B12 B22^s B21
     forcing = np.empty((steps, m), dtype=complex)  # forcing[t] = B12 B22^t ytilde(0)
     b22_pow = np.eye(b22.shape[0], dtype=complex)  # B22^t
-    for t in range(steps):
-        kernels[:, t] = b12 @ b22_pow @ b21
-        forcing[t] = b12 @ (b22_pow @ ytilde0)
-        b22_pow = b22 @ b22_pow
-    # rev[steps - t] = y(t): the memory of step t, y(t-1), y(t-2), ..., is
-    # the contiguous run of rows after y(t)
-    rev = np.empty((steps + 1, m), dtype=complex)
-    rev[steps] = y0
-    for t in range(steps):
-        i = steps - t
-        n_terms = (t + 1) // 2 if truncate_memory_half else t
-        rev[i - 1] = (b11 @ rev[i] + forcing[t]
-                      + kernels[:, :n_terms].reshape(m, -1) @ rev[i + 1:i + 1 + n_terms].ravel())
+    # an overflow shows as a non-finite y(t), reported below by step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            kernels[:, t] = b12 @ b22_pow @ b21
+            forcing[t] = b12 @ (b22_pow @ ytilde0)
+            b22_pow = b22 @ b22_pow
+        # rev[steps - t] = y(t): the memory of step t, y(t-1), y(t-2), ..., is
+        # the contiguous run of rows after y(t)
+        rev = np.empty((steps + 1, m), dtype=complex)
+        rev[steps] = y0
+        for t in range(steps):
+            i = steps - t
+            n_terms = (t + 1) // 2 if truncate_memory_half else t
+            rev[i - 1] = (b11 @ rev[i] + forcing[t]
+                          + kernels[:, :n_terms].reshape(m, -1)
+                          @ rev[i + 1:i + 1 + n_terms].ravel())
     traj = rev[::-1]
     finite = np.isfinite(traj).all(axis=1)
     if not finite.all():

@@ -137,6 +137,7 @@ class MetricsReport:
 def run_experiment(cfg: ExperimentConfig, b: BTensor | None = None,
                    q_true: np.ndarray | None = None) -> MetricsReport:
     """Ground truth, warm start, delay propagation, metrics, optional artifacts."""
+    delay_cfg = cfg.delay_config()  # checked before the ground truth runs
     system = cfg.system
     if b is None:
         b = build_B(system)
@@ -146,7 +147,7 @@ def run_experiment(cfg: ExperimentConfig, b: BTensor | None = None,
     spec = ConstraintSpec(system.n_configs, 1.0, cfg.zero_pairs)
     t0 = time.perf_counter()
     q_model, records = run_delay_propagation(
-        system, b, cfg.dt, cfg.n_steps, cfg.delay_config(), q_true,
+        system, b, cfg.dt, cfg.n_steps, delay_cfg, q_true,
         mode=cfg.mode, spec=spec)
     wall = time.perf_counter() - t0
     warm = cfg.ell * cfg.stride
@@ -191,10 +192,12 @@ def run_sweep(base: ExperimentConfig, axis: str, values) -> list[dict]:
     dt sweeps hold the final time n_steps * dt fixed.  dt values must be
     positive and finite, with a step count whose trajectory numpy can
     create, ell and stride values finite integers (2.0 is taken as 2, 2.5
-    is rejected).  Every value is checked before the first point runs.
+    is rejected).  Every value, and the base's `DelayConfig`, is checked
+    before the first point runs.
     """
     if axis not in ("ell", "stride", "dt"):
         raise ValidationError(f"sweep axis must be ell, stride, or dt, got {axis!r}")
+    base.delay_config()
     values = list(values)
     total_time = base.n_steps * base.dt
     if axis == "dt":

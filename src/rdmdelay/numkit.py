@@ -11,6 +11,7 @@ vec(X).
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -119,6 +120,45 @@ TIGHT_R_TOL = 1e-8
 THRESHOLD_MARGIN = 1e-2
 
 
+def extreme_eigenvalues(s: np.ndarray) -> tuple[float, float] | None:
+    """(lambda_min, lambda_max) of a real symmetric matrix s, read from its
+    lower triangle, or None if LAPACK reports a failure.
+
+    s is reduced to tridiagonal form by Householder reflections (`dsytrd`,
+    the reduction `np.linalg.eigvalsh` starts with), and each end
+    eigenvalue of the tridiagonal matrix is found by Sturm-sequence
+    bisection (`dstebz`) to full relative accuracy, with the absolute
+    tolerance of twice the underflow threshold that LAPACK recommends for
+    it (Golub & Van Loan, Matrix Computations, 4th ed., secs. 8.3.1 and
+    8.4.1).  The values differ from the ends of `eigvalsh`'s spectrum only
+    by the rounding of the last stage, which there is root-free QR over
+    the whole tridiagonal (`dsterf`); where bisection fails, that stage is
+    run instead.  The reduction costs 4n^3/3 flops, a bisection step O(n).
+    """
+    n = s.shape[0]
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    if info != 0:
+        return None
+    # the wrapper's default workspace of n runs the unblocked reduction
+    _, d, e, _, info = lapack.dsytrd(s, lower=1, lwork=int(lwork))
+    if info != 0:
+        return None
+    if n == 1:  # dstebz's wrapper rejects the empty off-diagonal
+        return float(d[0]), float(d[0])
+    abstol = 2 * sys.float_info.min
+    ends = []
+    for i in (1, n):
+        found, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 0.0, i, i, abstol, "E")
+        if info != 0 or found != 1:
+            # bisection by index can lose count in a cluster of eigenvalues
+            # equal to rounding (dstebz INFO 2 to 4, seen on a Gram matrix
+            # equal to I); LAPACK's cure is the whole tridiagonal spectrum
+            w, info = lapack.dsterf(d, e)
+            return (float(w[0]), float(w[-1])) if info == 0 else None
+        ends.append(float(w[0]))
+    return ends[0], ends[1]
+
+
 class NormalSolve(NamedTuple):
     x: np.ndarray
     condition_number: float
@@ -135,8 +175,11 @@ def normal_equations_solve(a: np.ndarray, b: np.ndarray, r_tol: float) -> Normal
     reduces the error that squaring the condition number put into x to
     that of a backward-stable solver (Bjorck, Numerical Methods for Least
     Squares Problems, 1996, sec. 2.2).
-    The condition number sqrt(lambda_max / lambda_min) comes from the
-    eigenvalues of N; every column is kept, so the rank is a.shape[1].
+    The condition number sqrt(lambda_max / lambda_min) comes from the two
+    end eigenvalues of N alone (`extreme_eigenvalues`), not from its full
+    spectrum; every column is kept, so the rank is a.shape[1].
+    A non-finite entry of a raises `NumericalError`: it shows as a
+    non-finite diagonal of N, which is checked before the gate.
     """
     if r_tol < 0:
         raise ValidationError(f"r_tol must be nonnegative, got {r_tol}")
@@ -144,20 +187,31 @@ def normal_equations_solve(a: np.ndarray, b: np.ndarray, r_tol: float) -> Normal
     if r_tol * cond_max > THRESHOLD_MARGIN:
         cond_max = THRESHOLD_MARGIN / r_tol
     gram = a.T @ a
+    # N_jj = ||a_j||^2 is NaN or infinite for every column of a holding a NaN
+    # or an infinity, and for a finite column only if squaring overflowed,
+    # which the pseudoinverse path, working on a itself, can still solve
+    diag_max = gram.diagonal().max()
+    if not diag_max < np.inf:
+        if not np.isfinite(a).all():
+            raise NumericalError("the least-squares system has non-finite entries")
+        return None
     factor, info = lapack.dpotrf(gram, lower=0, clean=0)
     if info != 0:
         return None
     # lambda_max(N) >= max_j N_jj and lambda_min(N) <= min_i R_ii^2 for the
     # Cholesky factor R: a lower bound on cond(N) that turns most
     # ill-conditioned steps away before the eigenvalues are computed
-    if gram.diagonal().max() > cond_max ** 2 * factor.diagonal().min() ** 2:
+    if diag_max > cond_max ** 2 * factor.diagonal().min() ** 2:
         return None
-    lam = np.linalg.eigvalsh(gram)
-    if not lam[0] > 0 or lam[-1] > cond_max ** 2 * lam[0]:
+    ends = extreme_eigenvalues(gram)
+    if ends is None:
+        return None
+    lam_min, lam_max = ends
+    if not lam_min > 0 or lam_max > cond_max ** 2 * lam_min:
         return None
     x, _ = lapack.dpotrs(factor, a.T @ b)
     correction, _ = lapack.dpotrs(factor, a.T @ (b - a @ x))
-    return NormalSolve(x + correction, float(np.sqrt(lam[-1] / lam[0])))
+    return NormalSolve(x + correction, float(np.sqrt(lam_max / lam_min)))
 
 
 def flatten(p) -> np.ndarray:

@@ -157,3 +157,16 @@ def test_gen_system_non_finite_field_is_validation_error(tmp_path, capsys, optio
     assert rc == 2
     assert "validation error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["propagate", "sweep"])
+@pytest.mark.parametrize("rtol", ["nan", "inf"])
+def test_non_finite_rtol_is_validation_error(tmp_path, capsys, command, rtol):
+    path = _gen(tmp_path)
+    args = [command, "--system", str(path), "--steps", "120", "--ell", "4",
+            "--rtol", rtol, "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        args += ["--axis", "ell", "--values", "2,4"]
+    assert main(args) == 2
+    assert "r_tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

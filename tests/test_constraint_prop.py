@@ -290,6 +290,23 @@ def test_non_finite_history_raises_numerical_error(mode):
     assert len(prop.records) == 1
 
 
+@pytest.mark.parametrize("mode", ["constrained", "raw"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_memory_block_raises_numerical_error(mode, bad):
+    # the constrained gate and the raw SVD each meet the bad block first
+    s = generate_synthetic_system(4, 2, seed=3)
+    b = build_B(s)
+    dt, cfg = 0.08268, DelayConfig(ell=4)
+    q_true = reduced_density_series(propagate_coefficients(s, dt, cfg.depth), b)
+    prop = DelayPropagator(s, b, cfg, dt, mode=mode)
+    prop.warm_start([q_true[j] for j in range(cfg.depth + 1)])
+    prop._cprods[1, 0, 0] = bad  # C_2: memory block 2 of the first step
+    with pytest.raises(NumericalError,
+                       match=rf"step {cfg.depth + 1} .*{mode} solve stage failed"):
+        prop.step()
+    assert not prop.records
+
+
 def test_zero_field_propagation_not_constant_but_exact():
     # H0 is still on, so Q moves; the scheme must track it
     s = generate_synthetic_system(4, 2, seed=6, field=FieldProfile())

@@ -347,9 +347,32 @@ def test_mori_zwanzig_rejects_non_finite_input(which, value):
         mori_zwanzig_propagate(args["a"], r, args["y0"], args["ytilde0"], 5, rtilde=rt)
 
 
+@pytest.mark.filterwarnings("error")
 def test_mori_zwanzig_overflow_names_first_step():
+    # the error is all the caller sees: no overflow warning comes before it
     r = ReductionMap(np.eye(4)[:2] + 0j)
     # y(t) = 1e200^t y(0): y(1) is finite, y(2) overflows
-    with np.errstate(all="ignore"):
-        with pytest.raises(NumericalError, match=r"y\(2\)"):
-            mori_zwanzig_propagate(1e200 * np.eye(4), r, np.ones(2), np.ones(2), 6)
+    with pytest.raises(NumericalError, match=r"y\(2\)"):
+        mori_zwanzig_propagate(1e200 * np.eye(4), r, np.ones(2), np.ones(2), 6)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"ell": -1}, "ell"),
+    ({"ell": 2.5}, "ell"),
+    ({"ell": 2.0}, "ell"),
+    ({"ell": True}, "ell"),
+    ({"stride": 0}, "stride"),
+    ({"stride": 1.5}, "stride"),
+    ({"stride": False}, "stride"),
+    ({"ell": 2, "r_tol": -1e-12}, "r_tol"),
+    ({"ell": 2, "r_tol": float("nan")}, "r_tol"),
+    ({"ell": 2, "r_tol": float("inf")}, "r_tol"),
+])
+def test_delay_config_rejects_bad_values(kwargs, name):
+    with pytest.raises(ValidationError, match=name):
+        DelayConfig(**kwargs)
+
+
+def test_delay_config_accepts_numpy_integers():
+    cfg = DelayConfig(ell=np.int64(3), stride=np.int32(2), r_tol=0)
+    assert cfg.depth == 6

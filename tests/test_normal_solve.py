@@ -8,12 +8,16 @@ propagator with `normal_equations_solve` patched to decline every step.
 Fast-path steps must report the same rank and agree to rounding level;
 fallback steps must be bit-for-bit the reference.  Fallback steps are
 counted through the `constraint_prop.pinv_thresholded` global they call.
+The gate's two end eigenvalues (`numkit.extreme_eigenvalues`) are checked
+against the full spectrum from `np.linalg.eigvalsh`, which the gate used
+to compute, and against the SVD.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from rdmdelay import constraint_prop
 from rdmdelay.ci_model import build_B
@@ -25,10 +29,14 @@ from rdmdelay.numkit import (
     COND_MAX,
     COND_MAX_TIGHT,
     THRESHOLD_MARGIN,
+    NumericalError,
     ValidationError,
+    extreme_eigenvalues,
     normal_equations_solve,
     pinv_thresholded,
 )
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture
@@ -224,3 +232,138 @@ def test_ill_conditioned_steps_stay_on_the_svd_path(monkeypatch, pinv_calls):
     assert n_fallback == n_delay
     assert np.array_equal(q, q_ref)
     assert recs == recs_ref
+
+
+def _planted_real(cols, sv, seed):
+    """A (2 cols + 1) x cols real matrix with singular values sv."""
+    local = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(local.standard_normal((2 * cols + 1, cols)))
+    v, _ = np.linalg.qr(local.standard_normal((cols, cols)))
+    return (u * sv) @ v.T
+
+
+def _clustered_ends(cols):
+    # the two largest and the two smallest singular values 1e-12 apart
+    sv = _cond_sv(cols, 100.0)
+    sv[1], sv[-2] = sv[0] * (1 - 1e-12), sv[-1] * (1 + 1e-12)
+    return sv
+
+
+_SPECTRA = {
+    "graded": lambda cols: _cond_sv(cols, 100.0),
+    "at-cond-max": lambda cols: _cond_sv(cols, COND_MAX),  # the loosest bound
+    "past-cond-max": lambda cols: _cond_sv(cols, 1.01 * COND_MAX),
+    "clustered": _clustered_ends,
+    # N = I up to rounding: bisection by index can lose count in the cluster
+    "degenerate": lambda cols: np.ones(cols),
+}
+
+
+@pytest.mark.parametrize("cols, spectrum", [
+    (cols, name) for cols in (1, 2, 15, 255) for name in _SPECTRA
+    if cols >= 4 or name != "clustered"])
+def test_extreme_eigenvalues_match_eigvalsh_and_svd(cols, spectrum):
+    # Both gates reduce N by the same Householder tridiagonalization and
+    # differ only in the last stage, each backward stable, so by Weyl's
+    # theorem the ends agree with eigvalsh's to 4 n eps lambda_max.  The SVD
+    # of a sees no error from forming N = a^T a, which moves lambda_min by
+    # about n eps ||a||^2, so sqrt(lambda_max / lambda_min) agrees with
+    # sigma_1 / sigma_n to a relative 4 n eps cond(a)^2.
+    a = _planted_real(cols, _SPECTRA[spectrum](cols), seed=cols)
+    gram = a.T @ a
+    lam_min, lam_max = extreme_eigenvalues(gram)
+    lam = np.linalg.eigvalsh(gram)
+    tol = 4 * cols * EPS * lam[-1]
+    assert abs(lam_min - lam[0]) <= tol
+    assert abs(lam_max - lam[-1]) <= tol
+    s = np.linalg.svd(a, compute_uv=False)
+    cond_svd = s[0] / s[-1]
+    assert np.sqrt(lam_max / lam_min) == pytest.approx(cond_svd,
+                                                       rel=4 * cols * EPS * cond_svd ** 2)
+
+
+def test_extreme_eigenvalues_of_an_orthogonal_system():
+    # hypothesis found this one: N = I to rounding, and bisection by index
+    # reported INFO 2 (eigenvalue not found) for lambda_max
+    local = np.random.default_rng(9064)
+    u, _ = np.linalg.qr(local.standard_normal((8, 8)))
+    v, _ = np.linalg.qr(local.standard_normal((8, 8)))
+    lam_min, lam_max = extreme_eigenvalues((u @ v.T).T @ (u @ v.T))
+    assert lam_min == pytest.approx(1.0, abs=32 * EPS)
+    assert lam_max == pytest.approx(1.0, abs=32 * EPS)
+
+
+@pytest.mark.parametrize("found, info", [(0, 2), (0, 4), (0, 0)])
+def test_failed_bisection_takes_the_whole_tridiagonal_spectrum(monkeypatch, found, info):
+    a = _planted_real(15, _cond_sv(15, 30.0), seed=6)
+    gram = a.T @ a
+    original = lapack.dstebz
+
+    def failing(d, e, rng, vl, vu, il, iu, tol, order):
+        _, w, iblock, isplit, _ = original(d, e, rng, vl, vu, il, iu, tol, order)
+        return found, w, iblock, isplit, info
+
+    monkeypatch.setattr(lapack, "dstebz", failing)
+    lam = np.linalg.eigvalsh(gram)
+    lam_min, lam_max = extreme_eigenvalues(gram)
+    assert abs(lam_min - lam[0]) <= 4 * 15 * EPS * lam[-1]
+    assert abs(lam_max - lam[-1]) <= 4 * 15 * EPS * lam[-1]
+
+
+def _eigvalsh_gate(a, cond_max):
+    """Whether the gate as it was with the full spectrum of N passes a."""
+    gram = a.T @ a
+    factor, info = lapack.dpotrf(gram, lower=0, clean=0)
+    if info != 0 or gram.diagonal().max() > cond_max ** 2 * factor.diagonal().min() ** 2:
+        return False, np.nan
+    lam = np.linalg.eigvalsh(gram)
+    return bool(lam[0] > 0 and lam[-1] <= cond_max ** 2 * lam[0]), lam[-1] / lam[0]
+
+
+# cond(a) as a multiple of the bound: relative steps of 1e-7 put cond(N)
+# 2e-7 from the bound, outside the 1e-8 band in which rounding may decide
+@pytest.mark.parametrize("r_tol, bound", [
+    (1e-12, COND_MAX_TIGHT),
+    (1e-6, COND_MAX),
+    (1e-4, THRESHOLD_MARGIN / 1e-4),
+])
+@pytest.mark.parametrize("cols", [15, 63])
+def test_gate_decisions_match_the_eigvalsh_gate(r_tol, bound, cols):
+    decided = []
+    for factor in (0.5, 0.999, 1 - 1e-6, 1 - 1e-7, 1.0, 1 + 1e-7, 1 + 1e-6, 1.001, 2.0):
+        a = _planted_real(cols, _cond_sv(cols, factor * bound), seed=cols)
+        b = np.random.default_rng(cols).standard_normal(a.shape[0])
+        passes, cond_n = _eigvalsh_gate(a, bound)
+        if abs(cond_n / bound ** 2 - 1) < 1e-8:
+            continue
+        assert (normal_equations_solve(a, b, r_tol) is not None) == passes, factor
+        decided.append(passes)
+    assert True in decided and False in decided
+
+
+def test_fast_path_makes_no_full_eigendecomposition(monkeypatch):
+    a = _planted_real(63, _cond_sv(63, 50.0), seed=9)
+    b = np.random.default_rng(9).standard_normal(a.shape[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gate computed the full spectrum")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", refuse)
+        fast = normal_equations_solve(a, b, 1e-6)
+    assert fast is not None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_system_raises_numerical_error(bad):
+    a = _planted_real(10, _cond_sv(10, 5.0), seed=2)
+    a[7, 3] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        normal_equations_solve(a, np.ones(a.shape[0]), 1e-12)
+
+
+def test_overflowing_gram_of_a_finite_system_falls_back():
+    # a^T a overflows, a itself does not: the pseudoinverse path solves it
+    a = 1e160 * _planted_real(10, _cond_sv(10, 5.0), seed=2)
+    assert normal_equations_solve(a, np.ones(a.shape[0]), 1e-12) is None
+    assert pinv_thresholded(a, 1e-12).effective_rank == 10
