@@ -12,22 +12,23 @@ trace-1, and exactly zero where declared, at no accuracy cost.  The raw
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .ci_model import BTensor, CiSystem
 from .delay_core import DelayConfig
-from .ground_truth import step_unitary
+from .ground_truth import step_unitaries, step_unitary
 from .numkit import (
+    LeastSquaresFactor,
     NumericalError,
     ValidationError,
     as_complex_matrix,
     flatten,
     hermiticity_defect,
     matexp_hermitian,  # noqa: F401  kept only for perfbench/tracing.py, which wraps it
-    normal_equations_solve,
+    normal_equations_factor,
     pinv_thresholded,
     require_hermitian,
     unflatten,
@@ -185,8 +186,14 @@ def assemble_constrained_system(m: np.ndarray, basis: HermitianBasis,
     # i (u - lo) in the gathered u: one large temporary fewer per step
     anti = np.multiply(np.subtract(u, lo, out=u), 1j, out=u)
     m_red = np.concatenate([m[:, diag] - pivot_col[:, None], sym, anti], axis=1, out=out)
-    b_ell = q_hist - spec.trace_value * pivot_col
-    return m_red, b_ell
+    return m_red, constrained_rhs(m, basis, spec, q_hist)
+
+
+def constrained_rhs(m: np.ndarray, basis: HermitianBasis, spec: ConstraintSpec,
+                    q_hist: np.ndarray) -> np.ndarray:
+    """b_ell of `assemble_constrained_system`, for a complex M and a
+    flat complex q_hist."""
+    return q_hist - spec.trace_value * m[:, spec.pivot * (basis.n_c + 1)]
 
 
 def hermitian_half(k: int):
@@ -216,14 +223,28 @@ def real_half_system(m_red: np.ndarray, b_ell: np.ndarray, k: int, *,
     of its shape, when one is given.
     """
     h, cols = k * (k + 1) // 2, m_red.shape[1]
-    blocks, rhs = m_red.reshape(-1, h, cols), b_ell.reshape(-1, h)
+    blocks = m_red.reshape(-1, h, cols)
     if out is not None:
         out = out.reshape(-1, k * k, cols)
     a = np.concatenate([blocks.real, blocks[:, k:].imag], axis=1, out=out)
-    return a.reshape(-1, cols), np.concatenate([rhs.real, rhs[:, k:].imag], axis=1).ravel()
+    return a.reshape(-1, cols), real_half_rhs(b_ell, k)
 
 
-def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float):
+def real_half_rhs(b_ell: np.ndarray, k: int) -> np.ndarray:
+    """The right-hand side of `real_half_system`."""
+    rhs = b_ell.reshape(-1, k * (k + 1) // 2)
+    return np.concatenate([rhs.real, rhs[:, k:].imag], axis=1).ravel()
+
+
+class ConstrainedSolve(NamedTuple):
+    x: np.ndarray
+    residual: float
+    effective_rank: int
+    condition_number: float
+    factor: LeastSquaresFactor
+
+
+def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float) -> ConstrainedSolve:
     """Real least-squares solve of M'' x = b_ell.
 
     A complex system is solved as the stack of its real and imaginary
@@ -233,27 +254,28 @@ def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float):
     system exactly.  A real system, such as `real_half_system`'s, is
     solved as given.
 
-    A well-conditioned step is solved from the normal equations by
-    `numkit.normal_equations_solve`; it keeps every column, so the rank is
-    the column count.  Every other step (an ill-conditioned or
-    rank-deficient system, one with fewer rows than columns, or r_tol
-    close to 1/cond) forms the thresholded pseudoinverse.  Returns
-    (x, ||M'' x - b_ell||, rank, condition number).
+    A well-conditioned step is solved from the normal equations, with the
+    Cholesky factor of `numkit.normal_equations_factor`; it keeps every
+    column, so the rank is the column count.  Every other step (an
+    ill-conditioned or rank-deficient system, one with fewer rows than
+    columns, or r_tol close to 1/cond) forms the thresholded
+    pseudoinverse.  Returns (x, ||M'' x - b_ell||, rank, condition number,
+    factor), where `factor` solves the real system again for another
+    right-hand side.
     """
     if np.iscomplexobj(m_red):
         a = np.vstack([m_red.real, m_red.imag])
         rhs = np.concatenate([b_ell.real, b_ell.imag])
     else:
         a, rhs = m_red, b_ell
-    fast = normal_equations_solve(a, rhs, r_tol)
+    fast = normal_equations_factor(a, r_tol)
     if fast is not None:
-        x, cond = fast
-        rank = a.shape[1]
+        factor = LeastSquaresFactor(a, fast.cholesky, None, a.shape[1], fast.condition_number)
     else:
-        pinv, rank, cond = pinv_thresholded(a, r_tol)
-        x = pinv @ rhs
+        factor = LeastSquaresFactor(a, None, *pinv_thresholded(a, r_tol))
+    x = factor.solve(rhs)
     residual = float(np.linalg.norm(m_red @ x - b_ell))
-    return x, residual, rank, cond
+    return ConstrainedSolve(x, residual, factor.effective_rank, factor.condition_number, factor)
 
 
 @dataclass(frozen=True)
@@ -295,6 +317,19 @@ class DelayPropagator:
     from the products C_j; sliding there would need one stack per class.
     The reduced densities live in one array, newest row first, so the
     stacked history is its rows 0, stride, 2*stride, ...
+
+    A step reuses the previous step's solve while M is bitwise unchanged.
+    The memory state (the stack at stride 1, the products C_m at stride > 1)
+    moves on by a deterministic function of the state and E.  `step_unitary`
+    returns one cached read-only array per field value, so past the field
+    cutoff every step applies the same E.  On a step whose E is the
+    previous step's, the state is compared bitwise before and after its
+    update; if it came out unchanged, it stays unchanged for as long as E
+    repeats, and so does M.  Those steps keep the factored real system (or
+    the pseudoinverse) and apply it to the new right-hand side, skipping
+    the state update, the assembly and the factorization, with the same
+    result bit for bit.  Nothing is kept on a step whose E differs from the
+    previous step's.
 
     The raw mode keeps all K^2 complex rows of every block and every Q.  The
     constrained mode keeps only the `hermitian_half(K)` rows, the diagonal
@@ -351,6 +386,10 @@ class DelayPropagator:
             n_free = len(self.spec.kept_coords(self.basis))
             self._m_red = np.empty(((cfg.ell + 1) * h, n_free), dtype=complex)
             self._a = np.empty(((cfg.ell + 1) * k2, n_free))
+        # the factored system of the last solve while M is bitwise its M
+        # (else None), and the step unitary the last step applied
+        self._solved: LeastSquaresFactor | None = None
+        self._last_e = None
         self._step_index = None
         self.records: list[StepRecord] = []
 
@@ -365,9 +404,10 @@ class DelayPropagator:
 
         Also forms the products of the step unitaries interior to the seed
         window, so that the first memory stack is available immediately.
-        The unitaries come from `ground_truth.step_unitary`, so those the
-        ground truth has already computed on the same system and dt are
-        reused rather than computed again.  In constrained mode every seed
+        The unitaries come from one `ground_truth.step_unitaries` call, so
+        those the ground truth has already computed on the same system and
+        dt are reused rather than computed again.  Any solve kept for reuse
+        is dropped.  In constrained mode every seed
         must be finite and Hermitian (`numkit.require_hermitian`), since
         only its diagonal and upper triangle are kept; nothing is written
         until every seed has passed.
@@ -388,11 +428,14 @@ class DelayPropagator:
         # vec of each seed Q, column-major
         self._q_hist[::-1] = self._kept(seed.transpose(0, 2, 1).reshape(depth + 1, -1))
         # forward products C_m = E(t - dt) ... E(t - m dt), newest factor left
+        units = step_unitaries(
+            self.system, [(start_step + depth - 1 - m) * self.dt for m in range(depth)],
+            self.dt)
         acc = np.eye(self.n_c)
-        for m in range(depth):
-            e = step_unitary(self.system, (start_step + depth - 1 - m) * self.dt, self.dt)
-            acc = np.matmul(acc, e, out=self._cprods[m])
+        for e, c_m in zip(units, self._cprods):
+            acc = np.matmul(acc, e, out=c_m)
         self._stack_current = False
+        self._solved = self._last_e = None
         self._step_index = start_step + depth
 
     # -- stepping ---------------------------------------------------------
@@ -400,15 +443,18 @@ class DelayPropagator:
     def _memory_matrix(self) -> np.ndarray:
         """M(t), as a view of the stack that the next step overwrites.
 
-        Builds the stack from the products C_j unless it is already current,
-        which it is only at stride 1 after the first step past a warm start.
+        Builds the stack from the products C_j unless it is already current:
+        at stride 1 after the first step past a warm start, and at stride > 1
+        while the products are unchanged (`_advance_memory`).
         """
         n, h = self.n_c, len(self._rows)
         if not self._stack_current:
             c = self._cprods[self.cfg.stride - 1::self.cfg.stride]  # C_j, j = 1..ell
-            b_c = np.matmul(self._memory[0].reshape(h * n, n), c.conj().transpose(0, 2, 1),
-                            out=self._work)
-            np.matmul(c[:, None], b_c.reshape(-1, h, n, n), out=self._memory[1:])
+            # an overflow shows as a non-finite M, which the solve reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                b_c = np.matmul(self._memory[0].reshape(h * n, n),
+                                c.conj().transpose(0, 2, 1), out=self._work)
+                np.matmul(c[:, None], b_c.reshape(-1, h, n, n), out=self._memory[1:])
             self._stack_current = self.cfg.stride == 1
         return self._memory.reshape(-1, n * n)
 
@@ -427,6 +473,30 @@ class DelayPropagator:
         np.matmul(e, tail.reshape(n, -1), out=work.reshape(n, -1))
         np.copyto(tail.reshape(-1, n, n), work.reshape(n, -1, n).transpose(1, 0, 2))
 
+    def _advance_memory(self, e: np.ndarray, compare: bool) -> bool:
+        """Carry the memory state from t to t + dt with E = e: slide the stack
+        at stride 1, extend the products C_m at stride > 1.
+
+        With `compare`, returns whether the state came out bitwise equal to
+        what it was, which takes one copy of it; otherwise returns False.
+        An overflow is left to show as a non-finite M at the next solve.
+        """
+        stride1 = self.cfg.stride == 1
+        state = self._memory[1:] if stride1 else self._cprods
+        before = state.copy() if compare else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            if stride1:
+                self._slide_stack(e)
+            elif self.cfg.depth > 0:
+                # C_{m+1} = E C_m; numpy buffers the overlapping input
+                np.matmul(e, self._cprods[:-1], out=self._cprods[1:])
+                self._cprods[0] = e
+        unchanged = compare and np.array_equal(state, before)
+        if not stride1:
+            # the stack built from unchanged products is still M
+            self._stack_current = unchanged
+        return unchanged
+
     def _stacked_history(self) -> np.ndarray:
         """The kept rows of vec Q(t), vec Q(t - stride dt), ...,
         vec Q(t - ell stride dt); at stride 1 a view of the history, which
@@ -442,21 +512,29 @@ class DelayPropagator:
         if self._step_index is None:
             raise ValidationError("propagator is not warm-started")
         t = self._step_index * self.dt
+        solved = self._solved  # a factor of this step's M, if it is kept
         m = self._memory_matrix()
         q_hist = self._stacked_history()
         # a non-finite system makes the gate raise NumericalError and the
         # SVD raise LinAlgError; both are reported with the step
         try:
             if self.mode == "constrained":
-                m_red, b_ell = assemble_constrained_system(m, self.basis, self.spec, q_hist,
-                                                           out=self._m_red)
-                a, rhs = real_half_system(m_red, b_ell, self.k_orb, out=self._a)
-                x_red, residual, rank, cond = solve_constrained(a, rhs, self.cfg.r_tol)
+                if solved is None:
+                    m_red, b_ell = assemble_constrained_system(m, self.basis, self.spec,
+                                                               q_hist, out=self._m_red)
+                    a, rhs = real_half_system(m_red, b_ell, self.k_orb, out=self._a)
+                    x_red, residual, _, _, solved = solve_constrained(a, rhs, self.cfg.r_tol)
+                else:
+                    rhs = real_half_rhs(constrained_rhs(m, self.basis, self.spec, q_hist),
+                                        self.k_orb)
+                    x_red = solved.solve(rhs)
+                    residual = float(np.linalg.norm(solved.a @ x_red - rhs))
                 x = self.spec.reconstruct(x_red, self.basis)
                 p_hat = self.basis.matrix(x)
             else:
-                pinv, rank, cond = pinv_thresholded(m, self.cfg.r_tol)
-                vec_p = pinv @ q_hist
+                if solved is None:
+                    solved = LeastSquaresFactor(m, None, *pinv_thresholded(m, self.cfg.r_tol))
+                vec_p = solved.solve(q_hist)
                 residual = float(np.linalg.norm(m @ vec_p - q_hist))
                 p_hat = unflatten(vec_p, self.n_c, self.n_c)
         except (NumericalError, np.linalg.LinAlgError) as exc:
@@ -467,13 +545,16 @@ class DelayPropagator:
         p_next = e @ p_hat @ e.conj().T
         q_next_vec = self.b_tilde @ flatten(p_next)
         q_next = unflatten(q_next_vec, self.k_orb, self.k_orb)
-        # advance history
-        if self.cfg.stride == 1:
-            self._slide_stack(e)
-        elif self.cfg.depth > 0:
-            # C_{m+1} = E C_m; numpy buffers the overlapping input
-            np.matmul(e, self._cprods[:-1], out=self._cprods[1:])
-            self._cprods[0] = e
+        rank, cond = solved.effective_rank, solved.condition_number
+        # advance history; a state that a repeated E left unchanged stays so
+        repeat = e is self._last_e
+        self._last_e = e
+        if not repeat:
+            # nothing is kept: the factor is freed before the update allocates
+            # its temporaries
+            solved = self._solved = None
+        if self._solved is None:
+            self._solved = solved if self._advance_memory(e, compare=repeat) else None
         self._q_hist[1:] = self._q_hist[:-1]
         self._q_hist[0] = self._kept(q_next_vec)
         self._step_index += 1

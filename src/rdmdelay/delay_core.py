@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .numkit import (
+    LeastSquaresFactor,
     NumericalError,
     ValidationError,
     as_complex_matrix,
@@ -92,11 +93,14 @@ class HistoryBuffer:
 
     ``propagators[-1]`` is A(t-1), the step that produced the newest state;
     ``reduced[-1]`` is y(t).  Capacities are depth and depth+1 respectively.
+    ``solved`` is (r_tol, pseudoinverse of M(t)) of the last `propagate_y`
+    step, kept while its step propagator repeats (see there).
     """
 
     depth: int
     propagators: deque = field(init=False)
     reduced: deque = field(init=False)
+    solved: tuple[float, LeastSquaresFactor] | None = field(init=False, default=None)
 
     def __post_init__(self):
         self.propagators = deque(maxlen=max(self.depth, 1))
@@ -166,13 +170,25 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
     Returns (y(t+1), diagnostics).  Rank deficiency of M(t) is reported via
     a warning and the diagnostics record, never a hard failure: the
     thresholded pseudoinverse still yields a least-squares reconstruction.
-    A non-finite z_hat or y(t+1) raises `NumericalError` naming the stage
-    (solve or propagation) where it appeared.
+    A failed SVD, or a non-finite z_hat or y(t+1), raises `NumericalError`
+    naming the stage (solve or propagation) where it appeared.
+
+    The pseudoinverse is reused when M(t) and r_tol are bitwise those of
+    the last step on the same history, as `constraint_prop.DelayPropagator`
+    reuses its solves: it is kept on the history only when a_t is the
+    previous step's propagator, so nothing is kept while the propagators
+    change.
     """
     m_t = build_M(history, r, cfg, unitary=unitary)
     y_stack = history.stacked_reduced(cfg)
-    pinv, rank, cond = pinv_thresholded(m_t, cfg.r_tol)
-    z_hat = pinv @ y_stack
+    r_tol, solved = history.solved or (None, None)
+    if r_tol != cfg.r_tol or not np.array_equal(solved.a, m_t):
+        try:
+            solved = LeastSquaresFactor(m_t, None, *pinv_thresholded(m_t, cfg.r_tol))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"propagate_y: the solve stage failed: {exc}") from exc
+    rank, cond = solved.effective_rank, solved.condition_number
+    z_hat = solved.solve(y_stack)
     residual = float(np.linalg.norm(m_t @ z_hat - y_stack))
     deficient = rank < r.n
     if deficient:
@@ -181,13 +197,16 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
             RuntimeWarning,
             stacklevel=2,
         )
-    y_next = r.matrix @ (as_complex_matrix(a_t, "A(t)") @ z_hat)
+    a_t = as_complex_matrix(a_t, "A(t)")
+    y_next = r.matrix @ (a_t @ z_hat)
     # 0 * y is 0 for finite y and NaN otherwise, so one product tests every
     # entry of y(t+1) = R A z_hat; a non-finite z_hat makes all of them
     # non-finite, and the stage is told apart only on failure
     if not cmath.isfinite(np.vdot(np.zeros(y_next.size), y_next)):
         stage = "propagation" if np.isfinite(z_hat).all() else "solve"
         raise NumericalError(f"propagate_y: the {stage} stage produced non-finite values")
+    repeat = bool(history.propagators) and np.array_equal(a_t, history.propagators[-1])
+    history.solved = (cfg.r_tol, solved) if repeat else None
     return y_next, StepDiagnostics(rank, cond, residual, deficient)
 
 

@@ -164,17 +164,29 @@ class NormalSolve(NamedTuple):
     condition_number: float
 
 
+class NormalFactor(NamedTuple):
+    cholesky: np.ndarray  # upper Cholesky factor R of a^T a = R^T R
+    condition_number: float
+
+
 def normal_equations_solve(a: np.ndarray, b: np.ndarray, r_tol: float) -> NormalSolve | None:
     """Full-rank real least squares min ||a x - b|| from the normal equations.
 
-    Returns None unless cond(a) passes the gate above (a rank-deficient a,
-    or one with fewer rows than columns, never does); the caller then takes
-    the `pinv_thresholded` path.  Otherwise the Gram matrix N = a^T a is
-    factored by Cholesky, N x = a^T b is solved, and one corrected
-    semi-normal step x <- x + N^-1 a^T (b - a x) with the same factor
-    reduces the error that squaring the condition number put into x to
-    that of a backward-stable solver (Bjorck, Numerical Methods for Least
-    Squares Problems, 1996, sec. 2.2).
+    Returns None unless cond(a) passes the gate of `normal_equations_factor`
+    (a rank-deficient a, or one with fewer rows than columns, never does);
+    the caller then takes the `pinv_thresholded` path.  Otherwise x comes
+    from `normal_equations_apply` with that factor.
+    """
+    factor = normal_equations_factor(a, r_tol)
+    if factor is None:
+        return None
+    return NormalSolve(normal_equations_apply(a, factor.cholesky, b), factor.condition_number)
+
+
+def normal_equations_factor(a: np.ndarray, r_tol: float) -> NormalFactor | None:
+    """The Cholesky factor of the Gram matrix N = a^T a, if cond(a) passes
+    the gate above, else None.
+
     The condition number sqrt(lambda_max / lambda_min) comes from the two
     end eigenvalues of N alone (`extreme_eigenvalues`), not from its full
     spectrum; every column is kept, so the rank is a.shape[1].
@@ -209,9 +221,37 @@ def normal_equations_solve(a: np.ndarray, b: np.ndarray, r_tol: float) -> Normal
     lam_min, lam_max = ends
     if not lam_min > 0 or lam_max > cond_max ** 2 * lam_min:
         return None
-    x, _ = lapack.dpotrs(factor, a.T @ b)
-    correction, _ = lapack.dpotrs(factor, a.T @ (b - a @ x))
-    return NormalSolve(x + correction, float(np.sqrt(lam_max / lam_min)))
+    return NormalFactor(factor, float(np.sqrt(lam_max / lam_min)))
+
+
+def normal_equations_apply(a: np.ndarray, cholesky: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min ||a x - b|| from the Cholesky factor of a^T a
+    (`normal_equations_factor`): N x = a^T b is solved, and one corrected
+    semi-normal step x <- x + N^-1 a^T (b - a x) with the same factor
+    reduces the error that squaring the condition number put into x to
+    that of a backward-stable solver (Bjorck, Numerical Methods for Least
+    Squares Problems, 1996, sec. 2.2)."""
+    x, _ = lapack.dpotrs(cholesky, a.T @ b)
+    correction, _ = lapack.dpotrs(cholesky, a.T @ (b - a @ x))
+    return x + correction
+
+
+class LeastSquaresFactor(NamedTuple):
+    """min ||a x - b|| factored once for any right-hand side b: by the
+    Cholesky factor of a^T a (`normal_equations_factor`), or else by the
+    thresholded pseudoinverse of a (`pinv_thresholded`), with the rank and
+    condition number of that solve."""
+
+    a: np.ndarray
+    cholesky: np.ndarray | None
+    pinv: np.ndarray | None
+    effective_rank: int
+    condition_number: float
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if self.cholesky is not None:
+            return normal_equations_apply(self.a, self.cholesky, b)
+        return self.pinv @ b
 
 
 def flatten(p) -> np.ndarray:

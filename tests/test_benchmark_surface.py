@@ -41,4 +41,11 @@ def test_traced_workloads_run_and_restore_originals():
     chunks = math.ceil(85 / UNITARY_CHUNK)
     assert totals["numkit.matexp_hermitian"]["calls"] == chunks
     assert totals["ci_model.hamiltonian"]["calls"] == chunks
+    # the field is off from step 85 on, so from step 85 + ell every block of
+    # M comes from the one field-free unitary: steps 106..119 reuse step
+    # 105's solve instead of calling solve_constrained
+    n_delay = 120 - delay.depth
+    assert n_delay == 100 and delay.depth == 20
+    assert totals["constraint_prop.solve_constrained"]["calls"] == n_delay - 14
+    assert totals["constraint_prop.assemble_constrained_system"]["calls"] == n_delay - 14
     assert totals["delay_core.propagate_y"]["calls"] == mz.steps - mz.cfg.depth

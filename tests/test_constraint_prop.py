@@ -136,7 +136,7 @@ def test_constrained_solve_recovers_planted_p():
     m = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
     q_hist = m @ flatten(p)
     m_red, b_ell = assemble_constrained_system(m, basis, spec, q_hist)
-    x, residual, rank, cond = solve_constrained(m_red, b_ell, 1e-12)
+    x, residual, rank, cond, _ = solve_constrained(m_red, b_ell, 1e-12)
     p_hat = basis.matrix(spec.reconstruct(x, basis))
     assert np.max(np.abs(p_hat - p)) < 1e-10
     assert np.max(np.abs(p_hat - p_hat.conj().T)) == 0.0
@@ -156,7 +156,7 @@ def test_pivot_moves_past_declared_zero_diagonal():
     p[0, 0] += 1.0 - np.trace(p).real
     m = rng.standard_normal((10, 9)) + 1j * rng.standard_normal((10, 9))
     m_red, b_ell = assemble_constrained_system(m, basis, spec, m @ flatten(p))
-    x, _, _, _ = solve_constrained(m_red, b_ell, 1e-12)
+    x = solve_constrained(m_red, b_ell, 1e-12).x
     p_hat = basis.matrix(spec.reconstruct(x, basis))
     assert np.max(np.abs(p_hat - p)) < 1e-10
 
@@ -210,7 +210,7 @@ def test_gathered_assembly_matches_dense_product(zeros):
     # S~ holds only 0, 1 and +-1j, so both assemblies round alike
     assert np.array_equal(m_red, m_ref)
     assert np.array_equal(b_ell, b_ref)
-    x, _, _, _ = solve_constrained(m_red, b_ell, 1e-12)
+    x = solve_constrained(m_red, b_ell, 1e-12).x
     x_full = spec.reconstruct(x, basis)
     assert np.array_equal(x_full, _reconstruct_from_list(spec, x, basis))
     # the spec builds its plan once; the plan is read-only
@@ -290,6 +290,8 @@ def test_non_finite_history_raises_numerical_error(mode):
     assert len(prop.records) == 1
 
 
+# an infinite product must give the step's NumericalError and no warning
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", ["constrained", "raw"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_memory_block_raises_numerical_error(mode, bad):
@@ -363,9 +365,10 @@ class _ProductPropagator(DelayPropagator):
     """Reference: every step rebuilds the memory stack from its own products
     C_m of the last m step unitaries, formed as ``acc @ E`` over the warm-start
     window and then by C_{m+1} = E C_m, with the batched blocks of
-    `DelayPropagator._memory_matrix`.  It never slides a stack.  Its blocks
-    hold the engine's row set: the kept, weighted rows of B~ (all K^2 rows
-    with weight 1 in raw mode)."""
+    `DelayPropagator._memory_matrix`.  It never slides a stack, and never
+    reuses a solve: every step factors its own M.  Its blocks hold the
+    engine's row set: the kept, weighted rows of B~ (all K^2 rows with
+    weight 1 in raw mode)."""
 
     def _b_rows(self):
         return self._weights[:, None] * self.b_tilde[self._rows]
@@ -390,16 +393,11 @@ class _ProductPropagator(DelayPropagator):
         c = self._ref_prods[self.cfg.stride - 1::self.cfg.stride]
         return np.vstack([self._b_rows(), self._blocks(c)])
 
-    def _slide_stack(self, e):
-        pass
-
-    def step(self):
-        e = step_unitary(self.system, self._step_index * self.dt, self.dt)
-        q_next = super().step()
+    def _advance_memory(self, e, compare):
         if self.cfg.depth > 0:
             self._ref_prods[1:] = e @ self._ref_prods[:-1]
             self._ref_prods[0] = e
-        return q_next
+        return False
 
 
 class _KronPropagator(_ProductPropagator):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rdmdelay import delay_core
 from rdmdelay.delay_core import (
     DelayConfig,
     HistoryBuffer,
@@ -136,6 +137,73 @@ def test_propagate_y_non_finite_propagator_names_propagation_stage():
     a[0, 0] = np.inf
     with pytest.raises(NumericalError, match="propagation stage"):
         propagate_y(hist, r, a, DelayConfig(ell=ell))
+
+
+def test_propagate_y_non_finite_memory_names_solve_stage():
+    # a NaN step propagator makes M(t) NaN, whose SVD does not converge
+    n, m_rows, ell = 6, 2, 3
+    r, hist, _, _, local = _random_history(n, m_rows, ell, seed=21)
+    a = random_unitary(n, local)
+    hist.propagators[-1][2, 1] = np.nan
+    with pytest.raises(NumericalError, match="solve stage failed"):
+        propagate_y(hist, r, a, DelayConfig(ell=ell))
+
+
+def _copied_history(hist):
+    """The same propagators and reduced vectors in a new buffer, which holds
+    no kept solve."""
+    fresh = HistoryBuffer(hist.depth)
+    fresh.propagators.extend(hist.propagators)
+    fresh.reduced.extend(hist.reduced)
+    return fresh
+
+
+def test_propagate_y_reuses_the_pseudoinverse_while_m_is_unchanged(monkeypatch):
+    # mz_compare's delay scheme on a constant dense unitary: every M(t) is
+    # the same, so one pseudoinverse serves every step after the first
+    n, m_rows = 8, 4
+    cfg = DelayConfig(ell=n // m_rows - 1)
+    local = np.random.default_rng(12)
+    a = random_unitary(n, local)
+    r = ReductionMap(np.eye(n)[:m_rows].astype(complex))
+    z = local.standard_normal(n) + 1j * local.standard_normal(n)
+    hist = HistoryBuffer(cfg.depth)
+    hist.push(None, r.matrix @ z)
+    for _ in range(cfg.depth):
+        z = a @ z
+        hist.push(a, r.matrix @ z)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return pinv_thresholded(*args)
+
+    monkeypatch.setattr(delay_core, "pinv_thresholded", counting)
+    for _ in range(40):
+        y_ref, diag_ref = propagate_y(_copied_history(hist), r, a, cfg)
+        y, diag = propagate_y(hist, r, a, cfg)
+        assert y.tobytes() == y_ref.tobytes() and diag == diag_ref
+        hist.push(a, y)
+    assert len(calls) == 40 + 1  # one per fresh buffer, one for `hist`
+    # another r_tol on the same M is solved afresh
+    loose = DelayConfig(cfg.ell, r_tol=0.5)
+    with pytest.warns(RuntimeWarning, match="rank"):
+        y_ref, diag_ref = propagate_y(_copied_history(hist), r, a, loose)
+        y, diag = propagate_y(hist, r, a, loose)
+    assert y.tobytes() == y_ref.tobytes() and diag == diag_ref
+    assert diag.effective_rank < n
+
+
+def test_propagate_y_keeps_nothing_while_propagators_change():
+    n, m_rows, ell = 4, 2, 1
+    r, hist, _, _, local = _random_history(n, m_rows, ell, seed=21)
+    for _ in range(5):
+        a = random_unitary(n, local)
+        y, _ = propagate_y(hist, r, a, DelayConfig(ell=ell))
+        assert hist.solved is None
+        hist.push(a, y)
+    y, _ = propagate_y(hist, r, a, DelayConfig(ell=ell))
+    assert hist.solved is not None  # a repeated: the solve is kept
 
 
 def _invertible_history(sigma, seed=33):

@@ -1,10 +1,12 @@
 """The normal-equations fast path of the constrained solve against the SVD path.
 
 `solve_constrained` solves a well-conditioned step by Cholesky plus one
-corrected semi-normal step (`numkit.normal_equations_solve`) and every
-other step through the thresholded pseudoinverse.  The reference is the
-pseudoinverse path alone: `pinv_thresholded` called directly, or the
-propagator with `normal_equations_solve` patched to decline every step.
+corrected semi-normal step (`numkit.normal_equations_factor` and
+`numkit.normal_equations_apply`, which `numkit.normal_equations_solve`
+chains) and every other step through the thresholded pseudoinverse.  The
+reference is the pseudoinverse path alone: `pinv_thresholded` called
+directly, or the propagator with `normal_equations_factor` patched to
+decline every step.
 Fast-path steps must report the same rank and agree to rounding level;
 fallback steps must be bit-for-bit the reference.  Fallback steps are
 counted through the `constraint_prop.pinv_thresholded` global they call.
@@ -81,7 +83,7 @@ def _cond_sv(cols, cond):
 
 
 def _assert_fast_agrees(m_red, b_ell, r_tol, pinv_calls):
-    x, residual, rank, cond = solve_constrained(m_red, b_ell, r_tol)
+    x, residual, rank, cond, _ = solve_constrained(m_red, b_ell, r_tol)
     assert not pinv_calls, "expected the normal-equations path"
     x_ref, res_ref, rank_ref, cond_ref = _svd_reference(m_red, b_ell, r_tol)
     assert rank == rank_ref == m_red.shape[1]
@@ -91,7 +93,7 @@ def _assert_fast_agrees(m_red, b_ell, r_tol, pinv_calls):
 
 
 def _assert_fallback_bitwise(m_red, b_ell, r_tol, pinv_calls):
-    got = solve_constrained(m_red, b_ell, r_tol)
+    got = solve_constrained(m_red, b_ell, r_tol)[:4]
     assert len(pinv_calls) == 1, "expected the pseudoinverse path"
     ref = _svd_reference(m_red, b_ell, r_tol)
     assert np.array_equal(got[0], ref[0])
@@ -196,7 +198,7 @@ def _both_paths(monkeypatch, pinv_calls, system, b, cfg, dt, q_true, n_delay):
     fast = _run(system, b, cfg, dt, q_true, n_delay)
     n_fallback = len(pinv_calls)
     with monkeypatch.context() as patch:
-        patch.setattr(constraint_prop, "normal_equations_solve", lambda a, rhs, r_tol: None)
+        patch.setattr(constraint_prop, "normal_equations_factor", lambda a, r_tol: None)
         ref = _run(system, b, cfg, dt, q_true, n_delay)
     return fast, n_fallback, ref
 
