@@ -11,6 +11,8 @@ trace-1, and exactly zero where declared, at no accuracy cost.  The raw
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -31,7 +33,6 @@ from .numkit import (
     normal_equations_factor,
     pinv_thresholded,
     require_hermitian,
-    unflatten,
 )
 
 
@@ -76,7 +77,7 @@ class HermitianBasis:
         v[self._diag_pos] = x[:n]
         v[self._upper_pos] = off
         v[self._lower_pos] = off.conj()
-        return unflatten(v, n, n)
+        return v.reshape((n, n), order="F")
 
     def vec_positions(self, coords: np.ndarray):
         """Vec positions (diagonal, upper, lower) of the diagonal coordinates
@@ -157,7 +158,7 @@ class ConstraintSpec:
                 f"reduced coordinate vector has length {len(x_reduced)}, "
                 f"expected {len(kept)}")
         x[kept] = x_reduced
-        x[self.pivot] = self.trace_value - (np.sum(x[:self.n_c]) - x[self.pivot])
+        x[self.pivot] = self.trace_value - (x[:self.n_c].sum() - x[self.pivot])
         return x
 
 
@@ -185,6 +186,8 @@ def assemble_constrained_system(m: np.ndarray, basis: HermitianBasis,
     sym = u + lo
     # i (u - lo) in the gathered u: one large temporary fewer per step
     anti = np.multiply(np.subtract(u, lo, out=u), 1j, out=u)
+    if out is None:  # C order, as the propagator's kept array: BLAS rounds by layout
+        out = np.empty((m.shape[0], len(diag) + 2 * len(upper)), dtype=complex)
     m_red = np.concatenate([m[:, diag] - pivot_col[:, None], sym, anti], axis=1, out=out)
     return m_red, constrained_rhs(m, basis, spec, q_hist)
 
@@ -231,9 +234,15 @@ def real_half_system(m_red: np.ndarray, b_ell: np.ndarray, k: int, *,
 
 
 def real_half_rhs(b_ell: np.ndarray, k: int) -> np.ndarray:
-    """The right-hand side of `real_half_system`."""
-    rhs = b_ell.reshape(-1, k * (k + 1) // 2)
-    return np.concatenate([rhs.real, rhs[:, k:].imag], axis=1).ravel()
+    """The right-hand side of `real_half_system`, one gather from b_ell's float view."""
+    b_ell = np.ascontiguousarray(b_ell, dtype=complex).reshape(-1, k * (k + 1) // 2)
+    return b_ell.view(float).ravel()[_real_half_positions(k, len(b_ell))]
+
+
+@functools.cache
+def _real_half_positions(k: int, blocks: int) -> np.ndarray:
+    w = k * (k + 1)  # per block of w floats: all real parts, then the upper rows' imaginary
+    return (w * np.arange(blocks)[:, None] + np.r_[0:w:2, 2 * k + 1:w:2]).ravel()
 
 
 class ConstrainedSolve(NamedTuple):
@@ -274,7 +283,9 @@ def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float) -> Con
     else:
         factor = LeastSquaresFactor(a, None, *pinv_thresholded(a, r_tol))
     x = factor.solve(rhs)
-    residual = float(np.linalg.norm(m_red @ x - b_ell))
+    r = m_red @ x - b_ell
+    # np.linalg.norm of a real vector r is sqrt(r . r), computed here without its dispatch
+    residual = math.sqrt(r.dot(r)) if a is m_red else float(np.linalg.norm(r))
     return ConstrainedSolve(x, residual, factor.effective_rank, factor.condition_number, factor)
 
 
@@ -393,9 +404,9 @@ class DelayPropagator:
         self._step_index = None
         self.records: list[StepRecord] = []
 
-    def _kept(self, vec_q: np.ndarray) -> np.ndarray:
-        """The kept, weighted rows of vec(Q) (last axis)."""
-        return vec_q[..., self._rows] * self._weights
+    def _kept(self, vec_q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The kept, weighted rows of vec(Q) (last axis), into `out` if given."""
+        return np.multiply(vec_q[..., self._rows], self._weights, out=out)
 
     # -- warm start -------------------------------------------------------
 
@@ -528,7 +539,8 @@ class DelayPropagator:
                     rhs = real_half_rhs(constrained_rhs(m, self.basis, self.spec, q_hist),
                                         self.k_orb)
                     x_red = solved.solve(rhs)
-                    residual = float(np.linalg.norm(solved.a @ x_red - rhs))
+                    r = solved.a @ x_red - rhs
+                    residual = math.sqrt(r.dot(r))
                 x = self.spec.reconstruct(x_red, self.basis)
                 p_hat = self.basis.matrix(x)
             else:
@@ -536,15 +548,15 @@ class DelayPropagator:
                     solved = LeastSquaresFactor(m, None, *pinv_thresholded(m, self.cfg.r_tol))
                 vec_p = solved.solve(q_hist)
                 residual = float(np.linalg.norm(m @ vec_p - q_hist))
-                p_hat = unflatten(vec_p, self.n_c, self.n_c)
+                p_hat = vec_p.reshape((self.n_c, self.n_c), order="F")
         except (NumericalError, np.linalg.LinAlgError) as exc:
             raise self._solve_stage_error(t, f"failed: {exc}") from exc
-        if not np.all(np.isfinite(p_hat)):
+        if not np.isfinite(p_hat).all():
             raise self._solve_stage_error(t, "produced non-finite values")
         e = step_unitary(self.system, t, self.dt)
         p_next = e @ p_hat @ e.conj().T
-        q_next_vec = self.b_tilde @ flatten(p_next)
-        q_next = unflatten(q_next_vec, self.k_orb, self.k_orb)
+        q_next_vec = self.b_tilde @ p_next.ravel(order="F")
+        q_next = q_next_vec.reshape((self.k_orb, self.k_orb), order="F")
         rank, cond = solved.effective_rank, solved.condition_number
         # advance history; a state that a repeated E left unchanged stays so
         repeat = e is self._last_e
@@ -556,12 +568,14 @@ class DelayPropagator:
         if self._solved is None:
             self._solved = solved if self._advance_memory(e, compare=repeat) else None
         self._q_hist[1:] = self._q_hist[:-1]
-        self._q_hist[0] = self._kept(q_next_vec)
+        self._kept(q_next_vec, out=self._q_hist[0])
         self._step_index += 1
-        min_eig = float(np.linalg.eigvalsh((p_hat + p_hat.conj().T) / 2).min())
+        # a constrained P-hat is exactly Hermitian: (P + P^dagger) / 2 is P bit for bit
+        p_sym = p_hat if self.mode == "constrained" else (p_hat + p_hat.conj().T) / 2
+        min_eig = float(np.linalg.eigvalsh(p_sym).min())
         self.records.append(StepRecord(
             step=self._step_index, t=t, residual=residual, effective_rank=rank,
-            condition_number=cond, trace_q=float(np.trace(q_next).real),
+            condition_number=cond, trace_q=float(q_next.trace().real),
             hermiticity_defect_q=hermiticity_defect(q_next),
             min_eig_p=min_eig))
         self.last_p_hat = p_hat

@@ -188,8 +188,12 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"propagate_y: the solve stage failed: {exc}") from exc
     rank, cond = solved.effective_rank, solved.condition_number
-    z_hat = solved.solve(y_stack)
-    residual = float(np.linalg.norm(m_t @ z_hat - y_stack))
+    a_t = as_complex_matrix(a_t, "A(t)")
+    # a non-finite z_hat or y(t+1) is reported below, naming the stage
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_hat = solved.solve(y_stack)
+        residual = float(np.linalg.norm(m_t @ z_hat - y_stack))
+        y_next = r.matrix @ (a_t @ z_hat)
     deficient = rank < r.n
     if deficient:
         warnings.warn(
@@ -197,8 +201,6 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
             RuntimeWarning,
             stacklevel=2,
         )
-    a_t = as_complex_matrix(a_t, "A(t)")
-    y_next = r.matrix @ (a_t @ z_hat)
     # 0 * y is 0 for finite y and NaN otherwise, so one product tests every
     # entry of y(t+1) = R A z_hat; a non-finite z_hat makes all of them
     # non-finite, and the stage is told apart only on failure

@@ -11,11 +11,14 @@ vec(X).
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
+
+_dsytrd_lwork = functools.cache(lambda n: lapack.dsytrd_lwork(n, lower=1))  # once per n
 
 
 class ValidationError(ValueError):
@@ -38,7 +41,7 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def hermiticity_defect(a: np.ndarray) -> float:
     """max |A - A^dagger|, the absolute deviation from Hermitian symmetry."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
 
 
 def require_hermitian(a, rtol: float = 1e-12, name: str = "matrix") -> np.ndarray:
@@ -136,7 +139,7 @@ def extreme_eigenvalues(s: np.ndarray) -> tuple[float, float] | None:
     run instead.  The reduction costs 4n^3/3 flops, a bisection step O(n).
     """
     n = s.shape[0]
-    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    lwork, info = _dsytrd_lwork(n)
     if info != 0:
         return None
     # the wrapper's default workspace of n runs the unblocked reduction
@@ -198,7 +201,9 @@ def normal_equations_factor(a: np.ndarray, r_tol: float) -> NormalFactor | None:
     cond_max = COND_MAX if r_tol >= TIGHT_R_TOL else COND_MAX_TIGHT
     if r_tol * cond_max > THRESHOLD_MARGIN:
         cond_max = THRESHOLD_MARGIN / r_tol
-    gram = a.T @ a
+    # an overflow is routed to the pseudoinverse by the diagonal check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a.T @ a
     # N_jj = ||a_j||^2 is NaN or infinite for every column of a holding a NaN
     # or an infinity, and for a finite column only if squaring overflowed,
     # which the pseudoinverse path, working on a itself, can still solve

@@ -48,4 +48,7 @@ def test_traced_workloads_run_and_restore_originals():
     assert n_delay == 100 and delay.depth == 20
     assert totals["constraint_prop.solve_constrained"]["calls"] == n_delay - 14
     assert totals["constraint_prop.assemble_constrained_system"]["calls"] == n_delay - 14
+    # ConstraintSpec.reconstruct and HermitianBasis.matrix share one span name:
+    # two spans per delay step, reused or not
+    assert totals["constraint_prop.reconstruct"]["calls"] == 2 * n_delay
     assert totals["delay_core.propagate_y"]["calls"] == mz.steps - mz.cfg.depth

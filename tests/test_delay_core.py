@@ -118,7 +118,7 @@ def test_propagate_y_warns_when_rank_deficient():
         propagate_y(hist, r, a, DelayConfig(ell=1))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("age", [0, 1], ids=["newest", "oldest"])
 def test_propagate_y_non_finite_history_raises_numerical_error(bad, age):
@@ -130,6 +130,7 @@ def test_propagate_y_non_finite_history_raises_numerical_error(bad, age):
         propagate_y(hist, r, a, DelayConfig(ell=ell))
 
 
+@pytest.mark.filterwarnings("error")
 def test_propagate_y_non_finite_propagator_names_propagation_stage():
     n, m_rows, ell = 4, 2, 1
     r, hist, _, _, local = _random_history(n, m_rows, ell, seed=21)

@@ -364,6 +364,7 @@ def test_non_finite_system_raises_numerical_error(bad):
         normal_equations_solve(a, np.ones(a.shape[0]), 1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_gram_of_a_finite_system_falls_back():
     # a^T a overflows, a itself does not: the pseudoinverse path solves it
     a = 1e160 * _planted_real(10, _cond_sv(10, 5.0), seed=2)
