@@ -19,7 +19,6 @@ from .numkit import (
 from .delay_core import (
     DelayConfig,
     HistoryBuffer,
-    LinearSystem,
     ReductionMap,
     build_M,
     complete_reduction_basis,
@@ -81,7 +80,6 @@ __all__ = [
     "unflatten",
     "DelayConfig",
     "HistoryBuffer",
-    "LinearSystem",
     "ReductionMap",
     "build_M",
     "complete_reduction_basis",

@@ -15,7 +15,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,20 +26,6 @@ from .numkit import (
     as_complex_matrix,
     pinv_thresholded,
 )
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Discrete-time linear system z(t+1) = A(t) z(t)."""
-
-    dim: int
-    step_propagator: Callable[[int], np.ndarray]
-
-    def propagator(self, t: int) -> np.ndarray:
-        a = as_complex_matrix(self.step_propagator(t), "A(t)")
-        if a.shape != (self.dim, self.dim):
-            raise ValidationError(f"A({t}) has shape {a.shape}, expected {(self.dim, self.dim)}")
-        return a
 
 
 @dataclass(frozen=True)
@@ -87,19 +73,38 @@ class DelayConfig:
         return self.ell * self.stride
 
 
+class KeptMemory(NamedTuple):
+    """M(t) of a `propagate_y` call, with what it was built for."""
+
+    r: ReductionMap
+    ell: int
+    stride: int
+    unitary: bool
+    pushes: int  # `HistoryBuffer.pushes` at that call
+    m: np.ndarray
+    # a propagator whose slide left m bitwise unchanged, or None
+    settled: np.ndarray | None
+
+
 @dataclass
 class HistoryBuffer:
     """Ring buffer of recent step propagators and reduced vectors.
 
     ``propagators[-1]`` is A(t-1), the step that produced the newest state;
     ``reduced[-1]`` is y(t).  Capacities are depth and depth+1 respectively.
-    ``solved`` is (r_tol, pseudoinverse of M(t)) of the last `propagate_y`
-    step, kept while its step propagator repeats (see there).
+    `push` keeps every propagator, and every reduced vector, the shape of
+    the first; ``pushes`` counts the propagators pushed.  ``memory`` is the
+    M(t) of the last `propagate_y` call, which the next call slides (see
+    there), so change the history only through `push`.  ``solved`` is
+    (r_tol, `LeastSquaresFactor` of that M(t)), kept while the step
+    propagator repeats.
     """
 
     depth: int
     propagators: deque = field(init=False)
     reduced: deque = field(init=False)
+    pushes: int = field(init=False, default=0)
+    memory: KeptMemory | None = field(init=False, default=None)
     solved: tuple[float, LeastSquaresFactor] | None = field(init=False, default=None)
 
     def __post_init__(self):
@@ -107,9 +112,19 @@ class HistoryBuffer:
         self.reduced = deque(maxlen=self.depth + 1)
 
     def push(self, a_prev: np.ndarray | None, y: np.ndarray):
+        """Append A(t-1) (None at the start) and y(t)."""
+        y = np.asarray(y, dtype=complex).ravel()
+        if self.reduced and y.shape != self.reduced[-1].shape:
+            raise ValidationError(f"y has shape {y.shape}, but the history's reduced "
+                                  f"vectors have shape {self.reduced[-1].shape}")
         if a_prev is not None:
-            self.propagators.append(np.asarray(a_prev, dtype=complex))
-        self.reduced.append(np.asarray(y, dtype=complex).ravel())
+            a_prev = np.asarray(a_prev, dtype=complex)
+            if self.propagators and a_prev.shape != self.propagators[-1].shape:
+                raise ValidationError(f"a_prev has shape {a_prev.shape}, but the history's "
+                                      f"propagators have shape {self.propagators[-1].shape}")
+            self.propagators.append(a_prev)
+            self.pushes += 1
+        self.reduced.append(y)
 
     def stacked_reduced(self, cfg: DelayConfig) -> np.ndarray:
         """Y_ell(t) = (y(t), y(t-k), ..., y(t-ell*k)) as one long vector."""
@@ -163,6 +178,40 @@ class StepDiagnostics:
     rank_deficient: bool
 
 
+def _memory_matrix(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig,
+                   unitary: bool, compare: bool) -> tuple[np.ndarray, bool]:
+    """M(t) for `propagate_y`, and whether it is bitwise the last call's M.
+
+    At stride 1, when one propagator p was pushed since the last call on the
+    same r, ell and unitary, M slides: R over blocks 0..ell-1 of the last M
+    times the back-step of p, one product.  Otherwise `build_M` rebuilds it.
+    Only with `compare` (a solve of the last M is kept) is a new M compared
+    with the last; else it counts as changed.  A slide that left M unchanged
+    leaves it so while p repeats bitwise, so those slides are skipped.
+    """
+    kept = history.memory
+    same_map = (kept is not None and kept.r is r
+                and (kept.ell, kept.stride, kept.unitary) == (cfg.ell, cfg.stride, unitary))
+    # M(t) reads only the propagators, and at ell 0 none of them
+    if same_map and (history.pushes == kept.pushes or cfg.ell == 0):
+        return kept.m, True
+    p = None
+    if same_map and cfg.stride == 1 and history.pushes == kept.pushes + 1:
+        p = history.propagators[-1]
+        if kept.settled is not None and np.array_equal(p, kept.settled):
+            history.memory = kept._replace(pushes=history.pushes)
+            return kept.m, True
+        m_t = np.empty_like(kept.m)
+        m_t[:r.m] = r.matrix
+        np.matmul(kept.m[:-r.m], _back_step(p, unitary), out=m_t[r.m:])
+    else:
+        m_t = build_M(history, r, cfg, unitary=unitary)
+    unchanged = compare and kept is not None and np.array_equal(m_t, kept.m)
+    settled = p.copy() if unchanged and p is not None else None
+    history.memory = KeptMemory(r, cfg.ell, cfg.stride, unitary, history.pushes, m_t, settled)
+    return m_t, unchanged
+
+
 def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
                 cfg: DelayConfig, unitary: bool = True):
     """One step of the self-contained delay equation for y.
@@ -171,24 +220,39 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
     a warning and the diagnostics record, never a hard failure: the
     thresholded pseudoinverse still yields a least-squares reconstruction.
     A failed SVD, or a non-finite z_hat or y(t+1), raises `NumericalError`
-    naming the stage (solve or propagation) where it appeared.
+    naming the stage (solve or propagation) where it appeared.  An a_t, or
+    a history, whose shapes do not match r raises `ValidationError`.
 
-    The pseudoinverse is reused when M(t) and r_tol are bitwise those of
-    the last step on the same history, as `constraint_prop.DelayPropagator`
-    reuses its solves: it is kept on the history only when a_t is the
-    previous step's propagator, so nothing is kept while the propagators
-    change.
+    M(t) is kept on the history and, at stride 1, slid by one back-step per
+    pushed propagator instead of rebuilt (`_memory_matrix`).  A slid block
+    is ((R B_1) B_2) ... where `build_M` forms R (B_1 (B_2 ...)), so the two
+    differ by rounding that does not grow with the run: a block leaves the
+    window after ell products.  The pseudoinverse is reused while M(t) and
+    r_tol are bitwise those of the last step, as
+    `constraint_prop.DelayPropagator` reuses its solves: it is kept on the
+    history only when a_t is the previous step's propagator, so nothing is
+    kept, and no M compared, while the propagators change.
     """
-    m_t = build_M(history, r, cfg, unitary=unitary)
-    y_stack = history.stacked_reduced(cfg)
+    a_t = as_complex_matrix(a_t, "A(t)")
+    if a_t.shape != (r.n, r.n):
+        raise ValidationError(f"a_t has shape {a_t.shape}, but r has n = {r.n}")
+    # push keeps the history's shapes uniform, so its newest entries stand for all
+    if history.propagators and history.propagators[-1].shape != a_t.shape:
+        raise ValidationError(f"the history's propagators have shape "
+                              f"{history.propagators[-1].shape}, but r has n = {r.n}")
+    if history.reduced and history.reduced[-1].shape != (r.m,):
+        raise ValidationError(f"the history's reduced vectors have shape "
+                              f"{history.reduced[-1].shape}, but r has m = {r.m}")
     r_tol, solved = history.solved or (None, None)
-    if r_tol != cfg.r_tol or not np.array_equal(solved.a, m_t):
+    history.solved = None  # until this step has succeeded
+    m_t, unchanged = _memory_matrix(history, r, cfg, unitary, compare=solved is not None)
+    y_stack = history.stacked_reduced(cfg)
+    if r_tol != cfg.r_tol or not unchanged:
         try:
             solved = LeastSquaresFactor(m_t, None, *pinv_thresholded(m_t, cfg.r_tol))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"propagate_y: the solve stage failed: {exc}") from exc
     rank, cond = solved.effective_rank, solved.condition_number
-    a_t = as_complex_matrix(a_t, "A(t)")
     # a non-finite z_hat or y(t+1) is reported below, naming the stage
     with np.errstate(over="ignore", invalid="ignore"):
         z_hat = solved.solve(y_stack)
@@ -294,13 +358,3 @@ def mori_zwanzig_propagate(a, r: ReductionMap, y0, ytilde0, steps: int,
     norm0 = max(float(np.linalg.norm(y0)), np.finfo(float).tiny)
     diverged = bool((np.linalg.norm(traj[1:], axis=1) > 1e3 * norm0).any())
     return traj, diverged
-
-
-def propagate_full_state(system: LinearSystem, z0, steps: int) -> list[np.ndarray]:
-    """Direct full-state trajectory, the oracle for the delay scheme."""
-    z = np.asarray(z0, dtype=complex).ravel()
-    out = [z]
-    for t in range(steps):
-        z = system.propagator(t) @ z
-        out.append(z)
-    return out

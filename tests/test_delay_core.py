@@ -5,12 +5,10 @@ from rdmdelay import delay_core
 from rdmdelay.delay_core import (
     DelayConfig,
     HistoryBuffer,
-    LinearSystem,
     ReductionMap,
     build_M,
     complete_reduction_basis,
     mori_zwanzig_propagate,
-    propagate_full_state,
     propagate_y,
 )
 from rdmdelay.numkit import (
@@ -240,6 +238,254 @@ def test_propagate_y_ill_conditioned_propagator_raises_numerical_error():
         propagate_y(hist, r, a, DelayConfig(ell=1), unitary=False)
 
 
+# -- the memory matrix slid by propagate_y at stride 1 ----------------------
+
+
+def _invertible(n, local):
+    """A = U diag(sigma) V with U, V unitary and sigma in [0.5, 2]."""
+    sigma = local.uniform(0.5, 2.0, n)
+    return random_unitary(n, local) @ np.diag(sigma) @ random_unitary(n, local)
+
+
+def _filled_history(r, props, depth, z, capacity=None):
+    """A history holding exact y = R z over the first `depth` propagators."""
+    hist = HistoryBuffer(depth if capacity is None else capacity)
+    hist.push(None, r.matrix @ z)
+    for a in props[:depth]:
+        z = a @ z
+        hist.push(a, r.matrix @ z)
+    return hist, z
+
+
+def _memory_pairs(r, props, cfg, unitary=True):
+    """propagate_y over `props`, the first cfg.depth filling the history;
+    per step, the M(t) the step kept and build_M's on the same history."""
+    local = np.random.default_rng(0)
+    z = local.standard_normal(r.n) + 1j * local.standard_normal(r.n)
+    hist, z = _filled_history(r, props, cfg.depth, z)
+    pairs = []
+    for a in props[cfg.depth:]:
+        propagate_y(hist, r, a, cfg, unitary=unitary)
+        pairs.append((hist.memory.m, build_M(hist, r, cfg, unitary=unitary)))
+        z = a @ z
+        hist.push(a, r.matrix @ z)
+    return pairs
+
+
+def _slide_case(kind):
+    """(r, propagators, cfg, unitary) of each slide run."""
+    local = np.random.default_rng(41)
+    n, m_rows, ell, steps = 16, 4, 3, 200
+    r = ReductionMap(local.standard_normal((m_rows, n)) + 1j * local.standard_normal((m_rows, n)))
+    if kind == "dense constant":
+        a = random_unitary(n, local)
+        return r, [a] * (ell + steps), DelayConfig(ell=ell), True
+    if kind == "distinct":
+        return r, [random_unitary(n, local) for _ in range(ell + steps)], DelayConfig(ell=ell), True
+    if kind == "invertible":
+        n, steps = 6, 60
+        r = ReductionMap(local.standard_normal((2, n)) + 1j * local.standard_normal((2, n)))
+        return r, [_invertible(n, local) for _ in range(ell + steps)], DelayConfig(ell=ell), False
+    if kind == "ell 0":
+        return r, [random_unitary(n, local) for _ in range(steps)], DelayConfig(ell=0), True
+    # ell 1 with coordinate rows: slid and rebuilt blocks agree bit for bit
+    r = ReductionMap(np.eye(n)[:m_rows].astype(complex))
+    return r, [random_unitary(n, local) for _ in range(1 + steps)], DelayConfig(ell=1), True
+
+
+@pytest.mark.filterwarnings("ignore:M\\(t\\) rank:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["dense constant", "distinct", "invertible", "ell 0",
+                                  "ell 1"])
+def test_slid_memory_matches_build_M_at_every_step(kind):
+    r, props, cfg, unitary = _slide_case(kind)
+    pairs = _memory_pairs(r, props, cfg, unitary)
+    assert len(pairs) == len(props) - cfg.depth
+    for slid, built in pairs:
+        assert slid.shape == built.shape
+        if kind in ("ell 0", "ell 1"):
+            assert slid.tobytes() == built.tobytes()
+        else:
+            assert np.max(np.abs(slid - built)) <= 1e-13 * np.max(np.abs(built))
+
+
+def _slid_history(n=6, m_rows=2, ell=2, steps=5, seed=43, capacity=None):
+    """A history stepped `steps` times by propagate_y on distinct random
+    unitaries (kept M slid), with the next propagator."""
+    local = np.random.default_rng(seed)
+    r = ReductionMap(local.standard_normal((m_rows, n)) + 1j * local.standard_normal((m_rows, n)))
+    props = [random_unitary(n, local) for _ in range(ell + steps + 1)]
+    z = local.standard_normal(n) + 1j * local.standard_normal(n)
+    hist, z = _filled_history(r, props, ell, z, capacity)
+    cfg = DelayConfig(ell=ell)
+    for a in props[ell:-1]:
+        propagate_y(hist, r, a, cfg)
+        z = a @ z
+        hist.push(a, r.matrix @ z)
+    return r, hist, cfg, props[-1], z
+
+
+def _rebuilt(hist, r, cfg, unitary=True):
+    return hist.memory.m.tobytes() == build_M(hist, r, cfg, unitary=unitary).tobytes()
+
+
+def test_two_pushes_rebuild_the_memory():
+    r, hist, cfg, a, z = _slid_history()
+    propagate_y(hist, r, a, cfg)
+    assert not _rebuilt(hist, r, cfg)  # slid: the check below can tell
+    for _ in range(2):
+        z = a @ z
+        hist.push(a, r.matrix @ z)
+    propagate_y(hist, r, a, cfg)
+    assert _rebuilt(hist, r, cfg)
+
+
+@pytest.mark.parametrize("change", ["r", "ell", "unitary"])
+def test_another_map_rebuilds_the_memory(change):
+    r, hist, cfg, a, z = _slid_history(capacity=4)
+    propagate_y(hist, r, a, cfg)
+    assert not _rebuilt(hist, r, cfg)
+    hist.push(a, r.matrix @ (a @ z))
+    unitary = True
+    if change == "r":
+        r = ReductionMap(r.matrix.copy())
+    elif change == "ell":
+        cfg = DelayConfig(ell=cfg.ell + 1)
+    else:
+        unitary = False
+    propagate_y(hist, r, a, cfg, unitary=unitary)
+    assert _rebuilt(hist, r, cfg, unitary)
+
+
+def test_stride_above_one_rebuilds_every_step():
+    local = np.random.default_rng(44)
+    r = ReductionMap(local.standard_normal((2, 6)) + 1j * local.standard_normal((2, 6)))
+    props = [random_unitary(6, local) for _ in range(24)]
+    for slid, built in _memory_pairs(r, props, DelayConfig(ell=2, stride=2)):
+        assert slid.tobytes() == built.tobytes()
+
+
+def test_a_second_call_without_a_push_returns_the_same_y():
+    r, hist, cfg, a, _ = _slid_history()
+    y, diag = propagate_y(hist, r, a, cfg)
+    y_again, diag_again = propagate_y(hist, r, a, cfg)
+    assert y_again.tobytes() == y.tobytes() and diag_again == diag
+
+
+def test_ill_conditioned_propagator_after_slid_steps_raises_at_the_next_call():
+    local = np.random.default_rng(45)
+    n, ell = 4, 1
+    r = ReductionMap(local.standard_normal((2, n)) + 1j * local.standard_normal((2, n)))
+    props = [_invertible(n, local) for _ in range(ell + 5)]
+    z = local.standard_normal(n) + 1j * local.standard_normal(n)
+    hist, z = _filled_history(r, props, ell, z)
+    cfg = DelayConfig(ell=ell)
+    for a in props[ell:]:
+        propagate_y(hist, r, a, cfg, unitary=False)
+        z = a @ z
+        hist.push(a, r.matrix @ z)
+    bad = random_unitary(n, local) @ np.diag([1.0, 1.0, 1.0, 1e-13]) @ random_unitary(n, local)
+    hist.push(bad, r.matrix @ (bad @ z))
+    with pytest.raises(NumericalError, match="condition number"):
+        propagate_y(hist, r, bad, cfg, unitary=False)
+
+
+@pytest.mark.filterwarnings("ignore:M\\(t\\) rank:RuntimeWarning")
+def test_settled_slide_is_skipped_until_the_propagator_changes(monkeypatch):
+    # mz_compare's case: a constant dense unitary and coordinate rows
+    local = np.random.default_rng(46)
+    n, m_rows = 16, 4
+    r = ReductionMap(np.eye(n)[:m_rows].astype(complex))
+    a, b = random_unitary(n, local), random_unitary(n, local)
+    cfg = DelayConfig(ell=n // m_rows - 1)
+    z = local.standard_normal(n) + 1j * local.standard_normal(n)
+    hist, z = _filled_history(r, [a] * cfg.depth, cfg.depth, z)
+    back_steps, solves = [], []
+
+    def counting_back_step(*args):
+        back_steps.append(1)
+        return delay_core._back_step.__wrapped__(*args)
+
+    counting_back_step.__wrapped__ = delay_core._back_step
+    monkeypatch.setattr(delay_core, "_back_step", counting_back_step)
+    monkeypatch.setattr(delay_core, "pinv_thresholded",
+                        lambda *args: solves.append(1) or pinv_thresholded(*args))
+
+    def step(p):
+        nonlocal z
+        y, _ = propagate_y(hist, r, p, cfg)
+        counted = len(back_steps)  # build_M's back-steps are not counted
+        assert np.max(np.abs(hist.memory.m - build_M(hist, r, cfg))) <= 1e-13
+        del back_steps[counted:]
+        z = p @ z
+        hist.push(p, r.matrix @ z)
+        return y
+
+    for _ in range(20):
+        step(a)
+    settled_back_steps, settled_solves = len(back_steps), len(solves)
+    assert settled_solves <= cfg.ell + 1
+    for _ in range(10):
+        step(a)
+    # the settled steps neither slide nor solve
+    assert (len(back_steps), len(solves)) == (settled_back_steps, settled_solves)
+    # the first b steps the settled M, pushed with a; the next sees b pushed,
+    # slides M again and solves afresh
+    step(b)
+    step(b)
+    assert len(back_steps) == settled_back_steps + 1
+    assert len(solves) == settled_solves + 1
+    counted = len(back_steps)
+    fresh, _ = propagate_y(_copied_history(hist), r, a, cfg)  # one more solve
+    del back_steps[counted:]
+    y = step(a)
+    assert len(back_steps) == settled_back_steps + 2
+    assert len(solves) == settled_solves + 3
+    assert np.max(np.abs(y - fresh)) <= 1e-12
+
+
+# -- shapes that do not match r -----------------------------------------------
+
+
+def test_propagate_y_rejects_a_t_of_another_shape():
+    r, hist, cfg, a, _ = _slid_history()
+    with pytest.raises(ValidationError, match=r"a_t has shape \(5, 5\), but r has n = 6"):
+        propagate_y(hist, r, a[:5, :5], cfg)
+
+
+def test_push_rejects_a_propagator_of_another_shape():
+    r, hist, cfg, a, z = _slid_history()
+    with pytest.raises(ValidationError,
+                       match=r"a_prev has shape \(5, 5\).*propagators have shape \(6, 6\)"):
+        hist.push(a[:5, :5], r.matrix @ z)
+    # nothing was pushed
+    assert hist.propagators[-1].shape == (6, 6) and len(hist.reduced) == cfg.depth + 1
+    propagate_y(hist, r, a, cfg)
+
+
+def test_push_rejects_a_reduced_vector_of_another_length():
+    r, hist, cfg, a, z = _slid_history()
+    with pytest.raises(ValidationError,
+                       match=r"y has shape \(3,\).*reduced vectors have shape \(2,\)"):
+        hist.push(a, np.zeros(3))
+    assert hist.reduced[-1].shape == (2,) and hist.propagators[-1] is not a
+
+
+def test_propagate_y_rejects_a_history_of_other_reduced_vectors():
+    r, hist, cfg, a, _ = _slid_history()
+    r3 = ReductionMap(np.vstack([r.matrix, np.eye(6)[0]]))
+    with pytest.raises(ValidationError,
+                       match=r"reduced vectors have shape \(2,\), but r has m = 3"):
+        propagate_y(hist, r3, a, cfg)
+
+
+def test_propagate_y_rejects_an_r_of_another_n():
+    r, hist, cfg, _, _ = _slid_history()
+    r8 = ReductionMap(np.hstack([r.matrix, np.ones((2, 2))]))
+    with pytest.raises(ValidationError,
+                       match=r"propagators have shape \(6, 6\), but r has n = 8"):
+        propagate_y(hist, r8, np.eye(8), cfg)
+
+
 def test_near_identity_propagators_need_stride():
     # A barely differs from I, so adjacent history rows are nearly
     # dependent; a long stride restores the rank.
@@ -315,8 +561,9 @@ def test_mori_zwanzig_diagonal_unitary_long_run():
     r = ReductionMap(q)
     rt = complete_reduction_basis(r)
     z0 = local.standard_normal(n) + 1j * local.standard_normal(n)
-    sysm = LinearSystem(n, lambda t: a)
-    direct = propagate_full_state(sysm, z0, 200)
+    direct = [z0]
+    for _ in range(200):
+        direct.append(a @ direct[-1])
     traj, diverged = mori_zwanzig_propagate(a, r, q @ z0, rt @ z0, 200, rtilde=rt)
     err = max(np.max(np.abs(traj[t] - q @ direct[t])) for t in range(201))
     assert err < 1e-8
