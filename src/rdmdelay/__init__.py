@@ -14,7 +14,6 @@ from .numkit import (
     flatten,
     matexp_hermitian,
     pinv_thresholded,
-    unflatten,
 )
 from .delay_core import (
     DelayConfig,
@@ -77,7 +76,6 @@ __all__ = [
     "flatten",
     "matexp_hermitian",
     "pinv_thresholded",
-    "unflatten",
     "DelayConfig",
     "HistoryBuffer",
     "ReductionMap",

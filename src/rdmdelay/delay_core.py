@@ -220,8 +220,11 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
     a warning and the diagnostics record, never a hard failure: the
     thresholded pseudoinverse still yields a least-squares reconstruction.
     A failed SVD, or a non-finite z_hat or y(t+1), raises `NumericalError`
-    naming the stage (solve or propagation) where it appeared.  An a_t, or
-    a history, whose shapes do not match r raises `ValidationError`.
+    naming the step and the stage (solve or propagation) where it appeared,
+    and an ill-conditioned back-step names the memory-matrix stage.  The
+    step is numbered history.pushes + 1, the step that makes y(t+1) from a
+    history of y(0)..y(t), as `DelayPropagator.step` numbers its steps.  An
+    a_t, or a history, whose shapes do not match r raises `ValidationError`.
 
     M(t) is kept on the history and, at stride 1, slid by one back-step per
     pushed propagator instead of rebuilt (`_memory_matrix`).  A slid block
@@ -243,15 +246,21 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
     if history.reduced and history.reduced[-1].shape != (r.m,):
         raise ValidationError(f"the history's reduced vectors have shape "
                               f"{history.reduced[-1].shape}, but r has m = {r.m}")
+    step = history.pushes + 1
     r_tol, solved = history.solved or (None, None)
     history.solved = None  # until this step has succeeded
-    m_t, unchanged = _memory_matrix(history, r, cfg, unitary, compare=solved is not None)
+    try:
+        m_t, unchanged = _memory_matrix(history, r, cfg, unitary, compare=solved is not None)
+    except NumericalError as exc:
+        raise NumericalError(f"propagate_y: step {step}: the memory-matrix stage "
+                             f"failed: {exc}") from exc
     y_stack = history.stacked_reduced(cfg)
     if r_tol != cfg.r_tol or not unchanged:
         try:
             solved = LeastSquaresFactor(m_t, None, *pinv_thresholded(m_t, cfg.r_tol))
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"propagate_y: the solve stage failed: {exc}") from exc
+            raise NumericalError(f"propagate_y: step {step}: the solve stage "
+                                 f"failed: {exc}") from exc
     rank, cond = solved.effective_rank, solved.condition_number
     # a non-finite z_hat or y(t+1) is reported below, naming the stage
     with np.errstate(over="ignore", invalid="ignore"):
@@ -270,7 +279,8 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
     # non-finite, and the stage is told apart only on failure
     if not cmath.isfinite(np.vdot(np.zeros(y_next.size), y_next)):
         stage = "propagation" if np.isfinite(z_hat).all() else "solve"
-        raise NumericalError(f"propagate_y: the {stage} stage produced non-finite values")
+        raise NumericalError(f"propagate_y: step {step}: the {stage} stage "
+                             f"produced non-finite values")
     repeat = bool(history.propagators) and np.array_equal(a_t, history.propagators[-1])
     history.solved = (cfg.r_tol, solved) if repeat else None
     return y_next, StepDiagnostics(rank, cond, residual, deficient)
@@ -288,6 +298,10 @@ def complete_reduction_basis(r: ReductionMap) -> np.ndarray:
     return vh[r.m:, :]
 
 
+# powers of B22 that `mori_zwanzig_propagate` builds per block
+_MZ_POWER_BLOCK = 32
+
+
 def mori_zwanzig_propagate(a, r: ReductionMap, y0, ytilde0, steps: int,
                            rtilde: np.ndarray | None = None,
                            truncate_memory_half: bool = False):
@@ -301,10 +315,20 @@ def mori_zwanzig_propagate(a, r: ReductionMap, y0, ytilde0, steps: int,
     trajectory[t] = y(t), and diverged flags some ||y(t)||, t >= 1, exceeding
     1e3 ||y(0)||.  With ``truncate_memory_half`` only the most recent half of
     the memory terms is summed (used to demonstrate that truncation is not
-    benign).  The kernels B12 B22^s B21 are stacked once, so each step sums
-    its memory with one matrix-vector product: O(steps) Python iterations and
-    O(steps^2 m^2) flops.  A y(t) that overflows raises `NumericalError`
-    naming the first such step t.
+    benign).  A y(t) that overflows raises `NumericalError` naming the first
+    such step t.
+
+    Before the time loop, one (m, steps+1, m) stack holds B11 and then every
+    kernel B12 B22^s B21.  The powers W_s = B12 B22^s are built
+    `_MZ_POWER_BLOCK` at a time: the first block by the recurrence
+    W_s = W_{s-1} B22, each later block as one product of the last block
+    with B22^_MZ_POWER_BLOCK.  A block's kernels and forcing terms are one
+    product each, so the set-up makes 35 + 3 ceil(steps / _MZ_POWER_BLOCK)
+    products and keeps one block of W alive, never all the powers.  The
+    trajectory is filled newest row first, so each step is one
+    matrix-vector product of the stack's leading columns with the
+    contiguous rows y(t), y(t-1), ..., plus the forcing term: O(steps)
+    products and O(steps^2 m^2) flops.
     """
     a = as_complex_matrix(a, "a")
     if a.shape != (r.n, r.n):
@@ -331,25 +355,38 @@ def mori_zwanzig_propagate(a, r: ReductionMap, y0, ytilde0, steps: int,
     b11, b12 = b[:m, :m], b[:m, m:]
     b21, b22 = b[m:, :m], b[m:, m:]
 
-    kernels = np.empty((m, steps, m), dtype=complex)  # kernels[:, s] = B12 B22^s B21
+    # kern[:, 0] = B11, kern[:, s+1] = B12 B22^s B21
+    kern = np.empty((m, steps + 1, m), dtype=complex)
+    kern[:, 0] = b11
     forcing = np.empty((steps, m), dtype=complex)  # forcing[t] = B12 B22^t ytilde(0)
-    b22_pow = np.eye(b22.shape[0], dtype=complex)  # B22^t
     # an overflow shows as a non-finite y(t), reported below by step
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            kernels[:, t] = b12 @ b22_pow @ b21
-            forcing[t] = b12 @ (b22_pow @ ytilde0)
-            b22_pow = b22 @ b22_pow
-        # rev[steps - t] = y(t): the memory of step t, y(t-1), y(t-2), ..., is
-        # the contiguous run of rows after y(t)
+        # rows s*m .. s*m+m-1 of w hold W_s for the block's s
+        for s0 in range(0, steps, _MZ_POWER_BLOCK):
+            count = min(_MZ_POWER_BLOCK, steps - s0)
+            if s0 == 0:
+                w = np.empty((count * m, r.n - m), dtype=complex)
+                w[:m] = b12
+                for s in range(1, count):
+                    np.matmul(w[(s - 1) * m:s * m], b22, out=w[s * m:(s + 1) * m])
+                jump = (np.linalg.matrix_power(b22, _MZ_POWER_BLOCK)
+                        if steps > _MZ_POWER_BLOCK else None)
+            else:
+                w = w[:count * m] @ jump
+            kern[:, s0 + 1:s0 + 1 + count] = (w @ b21).reshape(count, m, m).swapaxes(0, 1)
+            forcing[s0:s0 + count] = (w @ ytilde0).reshape(count, m)
+        # rev[steps - t] = y(t): y(t), y(t-1), ... are the contiguous rows from
+        # rev[steps - t] on, which kern's leading columns multiply
         rev = np.empty((steps + 1, m), dtype=complex)
         rev[steps] = y0
+        kern_cols, rev_flat = kern.reshape(m, -1), rev.reshape(-1)
         for t in range(steps):
             i = steps - t
             n_terms = (t + 1) // 2 if truncate_memory_half else t
-            rev[i - 1] = (b11 @ rev[i] + forcing[t]
-                          + kernels[:, :n_terms].reshape(m, -1)
-                          @ rev[i + 1:i + 1 + n_terms].ravel())
+            y_next = rev[i - 1]
+            np.matmul(kern_cols[:, :(n_terms + 1) * m],
+                      rev_flat[i * m:(i + 1 + n_terms) * m], out=y_next)
+            y_next += forcing[t]
     traj = rev[::-1]
     finite = np.isfinite(traj).all(axis=1)
     if not finite.all():

@@ -264,13 +264,6 @@ def flatten(p) -> np.ndarray:
     return as_complex_matrix(p, "p").flatten(order="F")
 
 
-def unflatten(v, rows: int, cols: int) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != rows * cols:
-        raise ValidationError(f"cannot reshape length {v.size} into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
-
-
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random unitary from QR of a complex Gaussian matrix.
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,22 @@ def test_propagate_y_non_finite_propagator_names_propagation_stage():
         propagate_y(hist, r, a, DelayConfig(ell=ell))
 
 
+@pytest.mark.filterwarnings("error")
+def test_propagate_y_numerical_error_names_the_step():
+    # the history holds y(0), y(1); two steps make y(2), y(3), and the
+    # failing one would make y(4)
+    n, m_rows, ell = 4, 2, 1
+    r, hist, _, _, local = _random_history(n, m_rows, ell, seed=21)
+    a = random_unitary(n, local)
+    for _ in range(2):
+        y_next, _ = propagate_y(hist, r, a, DelayConfig(ell=ell))
+        hist.push(a, y_next)
+    a_bad = a.copy()
+    a_bad[0, 0] = np.inf
+    with pytest.raises(NumericalError, match=r"step 4: the propagation stage"):
+        propagate_y(hist, r, a_bad, DelayConfig(ell=ell))
+
+
 def test_propagate_y_non_finite_memory_names_solve_stage():
     # a NaN step propagator makes M(t) NaN, whose SVD does not converge
     n, m_rows, ell = 6, 2, 3
@@ -234,8 +252,9 @@ def test_propagate_y_invertible_propagators_step_back_with_the_inverse():
 
 def test_propagate_y_ill_conditioned_propagator_raises_numerical_error():
     r, hist, a, _ = _invertible_history(np.array([1.0, 1.0, 1.0, 1e-13]))
-    with pytest.raises(NumericalError, match="condition number"):
+    with pytest.raises(NumericalError, match="condition number") as info:
         propagate_y(hist, r, a, DelayConfig(ell=1), unitary=False)
+    assert f"step {hist.pushes + 1}: the memory-matrix stage" in str(info.value)
 
 
 # -- the memory matrix slid by propagate_y at stride 1 ----------------------
@@ -625,6 +644,15 @@ def _mz_case(n, m, kind, seed=31):
     # max ||y(t)|| / ||y(0)|| is 3.0e2 at 120 steps and 2.9e3 at 160
     (6, 2, "growing", 120, False, False),
     (6, 2, "growing", 160, False, True),
+    # the powers of B22 are built 32 per block: steps at and around the
+    # block boundaries, where a block starts from the last one times B22^32
+    (16, 4, "dense", 31, False, False),
+    (16, 4, "dense", 32, False, False),
+    (16, 4, "dense", 33, False, False),
+    (16, 4, "dense", 64, False, False),
+    (16, 4, "dense", 65, False, False),
+    (16, 4, "dense", 33, True, False),
+    (6, 2, "growing", 97, False, False),
 ])
 def test_mori_zwanzig_matches_double_loop(n, m, kind, steps, truncate, diverges):
     a, r, y0, yt0, rt = _mz_case(n, m, kind)
@@ -635,6 +663,26 @@ def test_mori_zwanzig_matches_double_loop(n, m, kind, steps, truncate, diverges)
     assert traj.shape == (steps + 1, m)
     assert diverged == ref_diverged == diverges
     assert np.max(np.abs(traj - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_mori_zwanzig_memory_stays_below_a_power_stack():
+    # the kernels, forcing terms and trajectory are kept; the powers
+    # B12 B22^s are built a block at a time, so no stack of all of them
+    # (steps m (n-m) complex entries, 1.5 MB here) is ever alive
+    n, m, steps = 16, 4, 2000
+    a, r, y0, yt0, rt = _mz_case(n, m, "dense")
+    mori_zwanzig_propagate(a, r, y0, yt0, 40, rtilde=rt)  # numpy's first-call allocations
+    kept = (m * (steps + 1) * m + steps * m + (steps + 1) * m) * 16
+    power_stack = steps * m * (n - m) * 16
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        mori_zwanzig_propagate(a, r, y0, yt0, steps, rtilde=rt)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < kept + power_stack // 2
 
 
 @pytest.mark.parametrize("steps", [-1, 2.5, True])

@@ -39,7 +39,6 @@ from rdmdelay.numkit import (
     normal_equations_solve,
     pinv_thresholded,
     random_hermitian,
-    unflatten,
 )
 
 
@@ -88,7 +87,7 @@ def _full_row_run(system, b, cfg, dt, q_seed, n_delay, spec):
         q_vec = b_tilde @ flatten(e @ p_hat @ e.conj().T)
         hist.append(q_vec)
         units.append(e)
-        qs.append(unflatten(q_vec, system.n_orbitals, system.n_orbitals))
+        qs.append(q_vec.reshape((system.n_orbitals, system.n_orbitals), order="F"))
         recs.append((residual, rank, cond))
     return np.array(qs), recs
 

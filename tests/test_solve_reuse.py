@@ -24,7 +24,7 @@ from rdmdelay.constraint_prop import (
 from rdmdelay.delay_core import DelayConfig
 from rdmdelay.ground_truth import propagate_coefficients, reduced_density_series, step_unitary
 from rdmdelay.harness import generate_synthetic_system
-from rdmdelay.numkit import NumericalError, pinv_thresholded, unflatten
+from rdmdelay.numkit import NumericalError, pinv_thresholded
 
 DT_COARSE = 0.08268
 DT_FINE = 0.008268
@@ -86,7 +86,7 @@ def _fresh_solve(prop):
         pinv, rank, cond = pinv_thresholded(m, prop.cfg.r_tol)
         vec_p = pinv @ q_hist
         residual = float(np.linalg.norm(m @ vec_p - q_hist))
-        p_hat = unflatten(vec_p, prop.n_c, prop.n_c)
+        p_hat = vec_p.reshape((prop.n_c, prop.n_c), order="F")
     return p_hat, residual, rank, cond
 
 
