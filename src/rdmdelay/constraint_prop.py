@@ -12,7 +12,6 @@ trace-1, and exactly zero where declared, at no accuracy cost.  The raw
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .ci_model import BTensor, CiSystem
-from .delay_core import DelayConfig
+from .delay_core import DelayConfig, factor_least_squares
 from .ground_truth import step_unitaries, step_unitary
 from .numkit import (
     LeastSquaresFactor,
@@ -30,8 +29,7 @@ from .numkit import (
     flatten,
     hermiticity_defect,
     matexp_hermitian,  # noqa: F401  kept only for perfbench/tracing.py, which wraps it
-    normal_equations_factor,
-    pinv_thresholded,
+    pinv_thresholded,  # noqa: F401  kept only for perfbench/tracing.py, which wraps it
     require_hermitian,
 )
 
@@ -254,39 +252,25 @@ class ConstrainedSolve(NamedTuple):
 
 
 def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float) -> ConstrainedSolve:
-    """Real least-squares solve of M'' x = b_ell.
+    """Real least-squares solve of M'' x = b_ell, for a real system such as
+    `real_half_system`'s; a complex one raises `ValidationError`.
 
-    A complex system is solved as the stack of its real and imaginary
-    parts, which keeps the solution exactly real (it is computed in real
-    arithmetic), so the reconstructed density is exactly Hermitian; an
-    exact real solution of the complex system also solves the stacked
-    system exactly.  A real system, such as `real_half_system`'s, is
-    solved as given.
-
-    A well-conditioned step is solved from the normal equations, with the
-    Cholesky factor of `numkit.normal_equations_factor`; it keeps every
-    column, so the rank is the column count.  Every other step (an
-    ill-conditioned or rank-deficient system, one with fewer rows than
-    columns, or r_tol close to 1/cond) forms the thresholded
-    pseudoinverse.  Returns (x, ||M'' x - b_ell||, rank, condition number,
-    factor), where `factor` solves the real system again for another
-    right-hand side.
+    The real solution makes the reconstructed density exactly Hermitian.
+    `factor_least_squares` solves a well-conditioned step from the normal
+    equations, keeping every column, so the rank is the column count;
+    every other step (an ill-conditioned or rank-deficient system, one
+    with fewer rows than columns, or r_tol close to 1/cond) forms the
+    thresholded pseudoinverse.  Returns (x, ||M'' x - b_ell||, rank,
+    condition number, factor), where `factor` solves the system again for
+    another right-hand side.
     """
-    if np.iscomplexobj(m_red):
-        a = np.vstack([m_red.real, m_red.imag])
-        rhs = np.concatenate([b_ell.real, b_ell.imag])
-    else:
-        a, rhs = m_red, b_ell
-    fast = normal_equations_factor(a, r_tol)
-    if fast is not None:
-        factor = LeastSquaresFactor(a, fast.cholesky, None, a.shape[1], fast.condition_number)
-    else:
-        factor = LeastSquaresFactor(a, None, *pinv_thresholded(a, r_tol))
-    x = factor.solve(rhs)
-    r = m_red @ x - b_ell
-    # np.linalg.norm of a real vector r is sqrt(r . r), computed here without its dispatch
-    residual = math.sqrt(r.dot(r)) if a is m_red else float(np.linalg.norm(r))
-    return ConstrainedSolve(x, residual, factor.effective_rank, factor.condition_number, factor)
+    if np.iscomplexobj(m_red) or np.iscomplexobj(b_ell):
+        raise ValidationError("solve_constrained takes a real system: build it from "
+                              "M'' and b_ell with real_half_system")
+    factor = factor_least_squares(m_red, r_tol)
+    x = factor.solve(b_ell)
+    return ConstrainedSolve(x, factor.residual(x, b_ell), factor.effective_rank,
+                            factor.condition_number, factor)
 
 
 @dataclass(frozen=True)
@@ -539,15 +523,14 @@ class DelayPropagator:
                     rhs = real_half_rhs(constrained_rhs(m, self.basis, self.spec, q_hist),
                                         self.k_orb)
                     x_red = solved.solve(rhs)
-                    r = solved.a @ x_red - rhs
-                    residual = math.sqrt(r.dot(r))
+                    residual = solved.residual(x_red, rhs)
                 x = self.spec.reconstruct(x_red, self.basis)
                 p_hat = self.basis.matrix(x)
             else:
                 if solved is None:
-                    solved = LeastSquaresFactor(m, None, *pinv_thresholded(m, self.cfg.r_tol))
+                    solved = factor_least_squares(m, self.cfg.r_tol)
                 vec_p = solved.solve(q_hist)
-                residual = float(np.linalg.norm(m @ vec_p - q_hist))
+                residual = solved.residual(vec_p, q_hist)
                 p_hat = vec_p.reshape((self.n_c, self.n_c), order="F")
         except (NumericalError, np.linalg.LinAlgError) as exc:
             raise self._solve_stage_error(t, f"failed: {exc}") from exc

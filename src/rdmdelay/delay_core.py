@@ -24,6 +24,7 @@ from .numkit import (
     NumericalError,
     ValidationError,
     as_complex_matrix,
+    normal_equations_factor,
     pinv_thresholded,
 )
 
@@ -71,6 +72,18 @@ class DelayConfig:
     def depth(self) -> int:
         """Number of past steps spanned by the memory window."""
         return self.ell * self.stride
+
+
+def factor_least_squares(a: np.ndarray, r_tol: float) -> LeastSquaresFactor:
+    """min ||a x - b|| factored for any b: a real a by its normal equations
+    when it passes their gate (`numkit.normal_equations_factor`), every
+    other a by the thresholded pseudoinverse (`pinv_thresholded`).
+    Which of the two the factor holds tells the path a solve took."""
+    if a.dtype.kind != "c":
+        factor = normal_equations_factor(a, r_tol)
+        if factor is not None:
+            return factor
+    return LeastSquaresFactor(a, None, *pinv_thresholded(a, r_tol))
 
 
 class KeptMemory(NamedTuple):
@@ -257,7 +270,7 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
     y_stack = history.stacked_reduced(cfg)
     if r_tol != cfg.r_tol or not unchanged:
         try:
-            solved = LeastSquaresFactor(m_t, None, *pinv_thresholded(m_t, cfg.r_tol))
+            solved = factor_least_squares(m_t, cfg.r_tol)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"propagate_y: step {step}: the solve stage "
                                  f"failed: {exc}") from exc
@@ -265,7 +278,7 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
     # a non-finite z_hat or y(t+1) is reported below, naming the stage
     with np.errstate(over="ignore", invalid="ignore"):
         z_hat = solved.solve(y_stack)
-        residual = float(np.linalg.norm(m_t @ z_hat - y_stack))
+        residual = solved.residual(z_hat, y_stack)
         y_next = r.matrix @ (a_t @ z_hat)
     deficient = rank < r.n
     if deficient:

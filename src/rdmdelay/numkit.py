@@ -2,16 +2,16 @@
 
 All routines operate on plain numpy arrays, complex128 unless stated
 otherwise: `pinv_thresholded` keeps real input real (float64), and
-`normal_equations_solve` takes real input only, so the stacked real
-least-squares system of the constrained solve never pays for complex
-arithmetic.  The canonical flattening convention is column-major
-("F" order), so that for conformable matrices vec(A X B) = (B^T kron A)
-vec(X).
+`normal_equations_factor` takes real input only, so the real least-squares
+system of the constrained solve never pays for complex arithmetic.  The
+canonical flattening convention is column-major ("F" order), so that for
+conformable matrices vec(A X B) = (B^T kron A) vec(X).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from typing import NamedTuple
 
@@ -110,7 +110,7 @@ def pinv_thresholded(m, r_tol: float) -> PinvResult:
     return PinvResult(vh.conj().T @ (s_inv[:, None] * u.conj().T), rank, cond)
 
 
-# Gate of `normal_equations_solve`: cond(a) may not exceed COND_MAX, or
+# Gate of `normal_equations_factor`: cond(a) may not exceed COND_MAX, or
 # COND_MAX_TIGHT when r_tol < TIGHT_R_TOL, and r_tol * cond(a) may not exceed
 # THRESHOLD_MARGIN, so that `pinv_thresholded` would keep every singular value
 # with a 100x margin.  The normal equations square cond(a); one corrected
@@ -162,33 +162,42 @@ def extreme_eigenvalues(s: np.ndarray) -> tuple[float, float] | None:
     return ends[0], ends[1]
 
 
-class NormalSolve(NamedTuple):
-    x: np.ndarray
+class LeastSquaresFactor(NamedTuple):
+    """min ||a x - b|| factored once for any right-hand side b: by the
+    Cholesky factor of a^T a (`normal_equations_factor`), or else by the
+    thresholded pseudoinverse of a (`pinv_thresholded`), with the rank and
+    condition number of that solve.  Exactly one of `cholesky` and `pinv`
+    is set."""
+
+    a: np.ndarray
+    cholesky: np.ndarray | None  # upper Cholesky factor R of a^T a = R^T R
+    pinv: np.ndarray | None
+    effective_rank: int
     condition_number: float
 
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x = a^+ b.  With the Cholesky factor, N x = a^T b is solved, and one
+        corrected semi-normal step x <- x + N^-1 a^T (b - a x) reduces the
+        error that squaring cond(a) put into x to that of a backward-stable
+        solver (Bjorck, Numerical Methods for Least Squares Problems, sec. 2.2)."""
+        a, cholesky = self.a, self.cholesky
+        if cholesky is None:
+            return self.pinv @ b
+        x, _ = lapack.dpotrs(cholesky, a.T @ b)
+        correction, _ = lapack.dpotrs(cholesky, a.T @ (b - a @ x))
+        return x + correction
 
-class NormalFactor(NamedTuple):
-    cholesky: np.ndarray  # upper Cholesky factor R of a^T a = R^T R
-    condition_number: float
+    def residual(self, x: np.ndarray, b: np.ndarray) -> float:
+        """||a x - b||, as `np.linalg.norm` computes it."""
+        r = self.a @ x - b
+        # np.linalg.norm of a real vector r is sqrt(r . r), computed here without its dispatch
+        return math.sqrt(r.dot(r)) if r.dtype.kind == "f" else float(np.linalg.norm(r))
 
 
-def normal_equations_solve(a: np.ndarray, b: np.ndarray, r_tol: float) -> NormalSolve | None:
-    """Full-rank real least squares min ||a x - b|| from the normal equations.
-
-    Returns None unless cond(a) passes the gate of `normal_equations_factor`
-    (a rank-deficient a, or one with fewer rows than columns, never does);
-    the caller then takes the `pinv_thresholded` path.  Otherwise x comes
-    from `normal_equations_apply` with that factor.
-    """
-    factor = normal_equations_factor(a, r_tol)
-    if factor is None:
-        return None
-    return NormalSolve(normal_equations_apply(a, factor.cholesky, b), factor.condition_number)
-
-
-def normal_equations_factor(a: np.ndarray, r_tol: float) -> NormalFactor | None:
-    """The Cholesky factor of the Gram matrix N = a^T a, if cond(a) passes
-    the gate above, else None.
+def normal_equations_factor(a: np.ndarray, r_tol: float) -> LeastSquaresFactor | None:
+    """Full-rank real least squares min ||a x - b|| by the Cholesky factor of
+    the Gram matrix N = a^T a, if cond(a) passes the gate above, else None
+    (a rank-deficient a, or one with fewer rows than columns, never does).
 
     The condition number sqrt(lambda_max / lambda_min) comes from the two
     end eigenvalues of N alone (`extreme_eigenvalues`), not from its full
@@ -226,37 +235,8 @@ def normal_equations_factor(a: np.ndarray, r_tol: float) -> NormalFactor | None:
     lam_min, lam_max = ends
     if not lam_min > 0 or lam_max > cond_max ** 2 * lam_min:
         return None
-    return NormalFactor(factor, float(np.sqrt(lam_max / lam_min)))
-
-
-def normal_equations_apply(a: np.ndarray, cholesky: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """min ||a x - b|| from the Cholesky factor of a^T a
-    (`normal_equations_factor`): N x = a^T b is solved, and one corrected
-    semi-normal step x <- x + N^-1 a^T (b - a x) with the same factor
-    reduces the error that squaring the condition number put into x to
-    that of a backward-stable solver (Bjorck, Numerical Methods for Least
-    Squares Problems, 1996, sec. 2.2)."""
-    x, _ = lapack.dpotrs(cholesky, a.T @ b)
-    correction, _ = lapack.dpotrs(cholesky, a.T @ (b - a @ x))
-    return x + correction
-
-
-class LeastSquaresFactor(NamedTuple):
-    """min ||a x - b|| factored once for any right-hand side b: by the
-    Cholesky factor of a^T a (`normal_equations_factor`), or else by the
-    thresholded pseudoinverse of a (`pinv_thresholded`), with the rank and
-    condition number of that solve."""
-
-    a: np.ndarray
-    cholesky: np.ndarray | None
-    pinv: np.ndarray | None
-    effective_rank: int
-    condition_number: float
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.cholesky is not None:
-            return normal_equations_apply(self.a, self.cholesky, b)
-        return self.pinv @ b
+    return LeastSquaresFactor(a, factor, None, a.shape[1],
+                              float(np.sqrt(lam_max / lam_min)))
 
 
 def flatten(p) -> np.ndarray:

@@ -128,6 +128,12 @@ def test_reconstruct_consistent_data_exactly():
         assert np.array_equal(basis.matrix(x_back), p)
 
 
+def _stacked(m_red, b_ell):
+    """The real system of the real and imaginary parts of every row of a
+    complex M'' x = b_ell, which `solve_constrained` takes."""
+    return np.vstack([m_red.real, m_red.imag]), np.concatenate([b_ell.real, b_ell.imag])
+
+
 def test_constrained_solve_recovers_planted_p():
     basis = HermitianBasis(3)
     spec = ConstraintSpec(3, trace_value=1.0)
@@ -136,7 +142,7 @@ def test_constrained_solve_recovers_planted_p():
     m = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
     q_hist = m @ flatten(p)
     m_red, b_ell = assemble_constrained_system(m, basis, spec, q_hist)
-    x, residual, rank, cond, _ = solve_constrained(m_red, b_ell, 1e-12)
+    x, residual, rank, cond, _ = solve_constrained(*_stacked(m_red, b_ell), 1e-12)
     p_hat = basis.matrix(spec.reconstruct(x, basis))
     assert np.max(np.abs(p_hat - p)) < 1e-10
     assert np.max(np.abs(p_hat - p_hat.conj().T)) == 0.0
@@ -156,7 +162,7 @@ def test_pivot_moves_past_declared_zero_diagonal():
     p[0, 0] += 1.0 - np.trace(p).real
     m = rng.standard_normal((10, 9)) + 1j * rng.standard_normal((10, 9))
     m_red, b_ell = assemble_constrained_system(m, basis, spec, m @ flatten(p))
-    x = solve_constrained(m_red, b_ell, 1e-12).x
+    x = solve_constrained(*_stacked(m_red, b_ell), 1e-12).x
     p_hat = basis.matrix(spec.reconstruct(x, basis))
     assert np.max(np.abs(p_hat - p)) < 1e-10
 
@@ -210,7 +216,7 @@ def test_gathered_assembly_matches_dense_product(zeros):
     # S~ holds only 0, 1 and +-1j, so both assemblies round alike
     assert np.array_equal(m_red, m_ref)
     assert np.array_equal(b_ell, b_ref)
-    x = solve_constrained(m_red, b_ell, 1e-12).x
+    x = solve_constrained(*_stacked(m_red, b_ell), 1e-12).x
     x_full = spec.reconstruct(x, basis)
     assert np.array_equal(x_full, _reconstruct_from_list(spec, x, basis))
     # the spec builds its plan once; the plan is read-only

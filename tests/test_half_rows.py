@@ -25,7 +25,7 @@ from rdmdelay.constraint_prop import (
     hermitian_half,
     real_half_system,
 )
-from rdmdelay.delay_core import DelayConfig
+from rdmdelay.delay_core import DelayConfig, factor_least_squares
 from rdmdelay.ground_truth import (
     propagate_coefficients,
     reduced_density_series,
@@ -36,25 +36,19 @@ from rdmdelay.numkit import (
     COND_MAX_TIGHT,
     ValidationError,
     flatten,
-    normal_equations_solve,
-    pinv_thresholded,
     random_hermitian,
 )
 
 
 def _stacked_solve(m_red, b_ell, r_tol):
     """The full-row solve: the stack of the real and imaginary parts of every
-    row, through the same gate and fallback."""
+    row, through the same factory."""
     a = np.vstack([m_red.real, m_red.imag])
     rhs = np.concatenate([b_ell.real, b_ell.imag])
-    fast = normal_equations_solve(a, rhs, r_tol)
-    if fast is not None:
-        x, cond = fast
-        rank = a.shape[1]
-    else:
-        pinv, rank, cond = pinv_thresholded(a, r_tol)
-        x = pinv @ rhs
-    return x, float(np.linalg.norm(m_red @ x - b_ell)), rank, cond
+    factor = factor_least_squares(a, r_tol)
+    x = factor.solve(rhs)
+    return (x, float(np.linalg.norm(m_red @ x - b_ell)), factor.effective_rank,
+            factor.condition_number)
 
 
 def _full_row_run(system, b, cfg, dt, q_seed, n_delay, spec):

@@ -1,15 +1,15 @@
 """The normal-equations fast path of the constrained solve against the SVD path.
 
-`solve_constrained` solves a well-conditioned step by Cholesky plus one
-corrected semi-normal step (`numkit.normal_equations_factor` and
-`numkit.normal_equations_apply`, which `numkit.normal_equations_solve`
-chains) and every other step through the thresholded pseudoinverse.  The
-reference is the pseudoinverse path alone: `pinv_thresholded` called
-directly, or the propagator with `normal_equations_factor` patched to
-decline every step.
+`solve_constrained` factors its real system with
+`delay_core.factor_least_squares`: a well-conditioned step by the Cholesky
+factor of `numkit.normal_equations_factor`, applied with one corrected
+semi-normal step (`LeastSquaresFactor.solve`), every other step through the
+thresholded pseudoinverse.  The reference is the pseudoinverse path alone:
+`pinv_thresholded` called directly, or the propagator with
+`normal_equations_factor` patched to decline every step.
 Fast-path steps must report the same rank and agree to rounding level;
 fallback steps must be bit-for-bit the reference.  Fallback steps are
-counted through the `constraint_prop.pinv_thresholded` global they call.
+counted through the `delay_core.pinv_thresholded` global they call.
 The gate's two end eigenvalues (`numkit.extreme_eigenvalues`) are checked
 against the full spectrum from `np.linalg.eigvalsh`, which the gate used
 to compute, and against the SVD.
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from rdmdelay import constraint_prop
+from rdmdelay import delay_core
 from rdmdelay.ci_model import build_B
 from rdmdelay.constraint_prop import DelayPropagator, solve_constrained
 from rdmdelay.delay_core import DelayConfig
@@ -34,7 +34,7 @@ from rdmdelay.numkit import (
     NumericalError,
     ValidationError,
     extreme_eigenvalues,
-    normal_equations_solve,
+    normal_equations_factor,
     pinv_thresholded,
 )
 
@@ -43,28 +43,32 @@ EPS = np.finfo(float).eps
 
 @pytest.fixture
 def pinv_calls(monkeypatch):
-    """Number of calls of `pinv_thresholded` made through constraint_prop."""
+    """Number of calls of `pinv_thresholded` made through delay_core."""
     calls = []
-    original = constraint_prop.pinv_thresholded
+    original = delay_core.pinv_thresholded
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(constraint_prop, "pinv_thresholded", counting)
+    monkeypatch.setattr(delay_core, "pinv_thresholded", counting)
     return calls
 
 
-def _svd_reference(m_red, b_ell, r_tol):
+def _svd_reference(a, b, r_tol):
     """The pseudoinverse path of `solve_constrained`, on its own."""
-    a = np.vstack([m_red.real, m_red.imag])
     pinv, rank, cond = pinv_thresholded(a, r_tol)
-    x = pinv @ np.concatenate([b_ell.real, b_ell.imag])
-    return x, float(np.linalg.norm(m_red @ x - b_ell)), rank, cond
+    x = pinv @ b
+    return x, float(np.linalg.norm(a @ x - b)), rank, cond
+
+
+def _stacked(m_red, b_ell):
+    """The real system of the real and imaginary parts of every row."""
+    return np.vstack([m_red.real, m_red.imag]), np.concatenate([b_ell.real, b_ell.imag])
 
 
 def _planted(rows, sv, seed, noise=1e-6):
-    """Complex M'' and b whose stacked real system has singular values sv.
+    """A real 2 rows x len(sv) system a with singular values sv, and b.
 
     b is a consistent right-hand side plus a small perturbation, so that the
     least-squares solution is well determined at every planted condition.
@@ -74,8 +78,7 @@ def _planted(rows, sv, seed, noise=1e-6):
     u, _ = np.linalg.qr(local.standard_normal((2 * rows, cols)))
     v, _ = np.linalg.qr(local.standard_normal((cols, cols)))
     a = (u * sv) @ v.T
-    b = a @ local.standard_normal(cols) + noise * local.standard_normal(2 * rows)
-    return a[:rows] + 1j * a[rows:], b[:rows] + 1j * b[rows:]
+    return a, a @ local.standard_normal(cols) + noise * local.standard_normal(2 * rows)
 
 
 def _cond_sv(cols, cond):
@@ -83,8 +86,9 @@ def _cond_sv(cols, cond):
 
 
 def _assert_fast_agrees(m_red, b_ell, r_tol, pinv_calls):
-    x, residual, rank, cond, _ = solve_constrained(m_red, b_ell, r_tol)
+    x, residual, rank, cond, factor = solve_constrained(m_red, b_ell, r_tol)
     assert not pinv_calls, "expected the normal-equations path"
+    assert factor.cholesky is not None and factor.pinv is None
     x_ref, res_ref, rank_ref, cond_ref = _svd_reference(m_red, b_ell, r_tol)
     assert rank == rank_ref == m_red.shape[1]
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
@@ -93,8 +97,10 @@ def _assert_fast_agrees(m_red, b_ell, r_tol, pinv_calls):
 
 
 def _assert_fallback_bitwise(m_red, b_ell, r_tol, pinv_calls):
-    got = solve_constrained(m_red, b_ell, r_tol)[:4]
+    solved = solve_constrained(m_red, b_ell, r_tol)
     assert len(pinv_calls) == 1, "expected the pseudoinverse path"
+    assert solved.factor.cholesky is None and solved.factor.pinv is not None
+    got = solved[:4]
     ref = _svd_reference(m_red, b_ell, r_tol)
     assert np.array_equal(got[0], ref[0])
     assert got[1:] == ref[1:]
@@ -106,7 +112,7 @@ def test_full_rank_random_systems_take_the_fast_path(rows, cols, seed, pinv_call
     local = np.random.default_rng(seed)
     m_red = local.standard_normal((rows, cols)) + 1j * local.standard_normal((rows, cols))
     b_ell = local.standard_normal(rows) + 1j * local.standard_normal(rows)
-    _assert_fast_agrees(m_red, b_ell, 1e-12, pinv_calls)
+    _assert_fast_agrees(*_stacked(m_red, b_ell), 1e-12, pinv_calls)
 
 
 # the bound on cond(M'') that binds at each r_tol: COND_MAX_TIGHT below
@@ -142,7 +148,7 @@ def test_duplicated_column_falls_back(pinv_calls):
     m_red = local.standard_normal((40, 12)) + 1j * local.standard_normal((40, 12))
     m_red[:, 7] = m_red[:, 2]
     b_ell = local.standard_normal(40) + 1j * local.standard_normal(40)
-    _, _, rank, _ = _assert_fallback_bitwise(m_red, b_ell, 1e-12, pinv_calls)
+    _, _, rank, _ = _assert_fallback_bitwise(*_stacked(m_red, b_ell), 1e-12, pinv_calls)
     assert rank == 11
 
 
@@ -153,13 +159,21 @@ def test_underdetermined_system_falls_back(k, n_c, pinv_calls):
     rows, cols = k * k, n_c * n_c - 1
     m_red = local.standard_normal((rows, cols)) + 1j * local.standard_normal((rows, cols))
     b_ell = local.standard_normal(rows) + 1j * local.standard_normal(rows)
-    _assert_fallback_bitwise(m_red, b_ell, 1e-12, pinv_calls)
+    _assert_fallback_bitwise(*_stacked(m_red, b_ell), 1e-12, pinv_calls)
 
 
 def test_negative_tolerance_rejected():
     m_red, b_ell = _planted(10, _cond_sv(4, 2.0), seed=1)
     with pytest.raises(ValidationError, match="r_tol"):
         solve_constrained(m_red, b_ell, -1.0)
+
+
+def test_complex_system_rejected():
+    # the solve is real by design; a complex M'' goes through real_half_system
+    a, b = _planted(10, _cond_sv(4, 2.0), seed=1)
+    for m_red, b_ell in ((a + 0j, b), (a, b + 0j)):
+        with pytest.raises(ValidationError, match="real_half_system"):
+            solve_constrained(m_red, b_ell, 1e-12)
 
 
 _rows_cols = st.integers(1, 12).flatmap(
@@ -177,12 +191,12 @@ def test_fast_solve_matches_pseudoinverse_on_well_conditioned_systems(shape, con
     v, _ = np.linalg.qr(local.standard_normal((cols, cols)))
     a = (u * (scale * _cond_sv(cols, cond))) @ v.T
     b = local.standard_normal(rows)
-    fast = normal_equations_solve(a, b, r_tol)
+    fast = normal_equations_factor(a, r_tol)
     ref = pinv_thresholded(a, r_tol)
     assert fast is not None
-    assert ref.effective_rank == cols
+    assert fast.effective_rank == ref.effective_rank == cols
     x_ref = ref.pinv @ b
-    assert np.linalg.norm(fast.x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(fast.solve(b) - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     assert fast.condition_number == pytest.approx(ref.condition_number, rel=1e-10)
 
 
@@ -198,7 +212,7 @@ def _both_paths(monkeypatch, pinv_calls, system, b, cfg, dt, q_true, n_delay):
     fast = _run(system, b, cfg, dt, q_true, n_delay)
     n_fallback = len(pinv_calls)
     with monkeypatch.context() as patch:
-        patch.setattr(constraint_prop, "normal_equations_factor", lambda a, r_tol: None)
+        patch.setattr(delay_core, "normal_equations_factor", lambda a, r_tol: None)
         ref = _run(system, b, cfg, dt, q_true, n_delay)
     return fast, n_fallback, ref
 
@@ -334,25 +348,23 @@ def test_gate_decisions_match_the_eigvalsh_gate(r_tol, bound, cols):
     decided = []
     for factor in (0.5, 0.999, 1 - 1e-6, 1 - 1e-7, 1.0, 1 + 1e-7, 1 + 1e-6, 1.001, 2.0):
         a = _planted_real(cols, _cond_sv(cols, factor * bound), seed=cols)
-        b = np.random.default_rng(cols).standard_normal(a.shape[0])
         passes, cond_n = _eigvalsh_gate(a, bound)
         if abs(cond_n / bound ** 2 - 1) < 1e-8:
             continue
-        assert (normal_equations_solve(a, b, r_tol) is not None) == passes, factor
+        assert (normal_equations_factor(a, r_tol) is not None) == passes, factor
         decided.append(passes)
     assert True in decided and False in decided
 
 
 def test_fast_path_makes_no_full_eigendecomposition(monkeypatch):
     a = _planted_real(63, _cond_sv(63, 50.0), seed=9)
-    b = np.random.default_rng(9).standard_normal(a.shape[0])
 
     def refuse(*args, **kwargs):
         raise AssertionError("the gate computed the full spectrum")
 
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigvalsh", refuse)
-        fast = normal_equations_solve(a, b, 1e-6)
+        fast = normal_equations_factor(a, 1e-6)
     assert fast is not None
 
 
@@ -361,12 +373,12 @@ def test_non_finite_system_raises_numerical_error(bad):
     a = _planted_real(10, _cond_sv(10, 5.0), seed=2)
     a[7, 3] = bad
     with pytest.raises(NumericalError, match="non-finite"):
-        normal_equations_solve(a, np.ones(a.shape[0]), 1e-12)
+        normal_equations_factor(a, 1e-12)
 
 
 @pytest.mark.filterwarnings("error")
 def test_overflowing_gram_of_a_finite_system_falls_back():
     # a^T a overflows, a itself does not: the pseudoinverse path solves it
     a = 1e160 * _planted_real(10, _cond_sv(10, 5.0), seed=2)
-    assert normal_equations_solve(a, np.ones(a.shape[0]), 1e-12) is None
+    assert normal_equations_factor(a, 1e-12) is None
     assert pinv_thresholded(a, 1e-12).effective_rank == 10

@@ -64,9 +64,10 @@ def _counter(monkeypatch, name):
     return calls
 
 
-def _factorizations(monkeypatch, mode):
-    return _counter(monkeypatch, "solve_constrained" if mode == "constrained"
-                    else "pinv_thresholded")
+def _factorizations(monkeypatch):
+    # both modes factor through this one global, the constrained one inside
+    # solve_constrained
+    return _counter(monkeypatch, "factor_least_squares")
 
 
 def _fresh_solve(prop):
@@ -121,7 +122,7 @@ def _copied_unitaries(monkeypatch):
 def test_reused_steps_equal_a_fresh_solve(monkeypatch, case, mode, stride):
     system, b, cfg, dt, n_steps, q_true = _case(case, stride)
     with monkeypatch.context() as patch:
-        factorizations = _factorizations(patch, mode)
+        factorizations = _factorizations(patch)
         prop = DelayPropagator(system, b, cfg, dt, mode=mode)
         prop.warm_start(q_true[:cfg.depth + 1])
         q, reused, fallbacks = [], 0, 0
@@ -142,7 +143,7 @@ def test_reused_steps_equal_a_fresh_solve(monkeypatch, case, mode, stride):
         assert fallbacks == reused
     with monkeypatch.context() as patch:
         _copied_unitaries(patch)
-        factorizations = _factorizations(patch, mode)
+        factorizations = _factorizations(patch)
         q_ref, records_ref = run_delay_propagation(system, b, dt, n_steps, cfg, q_true,
                                                    mode=mode)
         assert len(factorizations) == n_steps - cfg.depth
@@ -169,7 +170,7 @@ def test_kept_solve_is_dropped_when_the_unitary_changes(monkeypatch, mode, strid
     for copy in (False, True):
         with monkeypatch.context() as patch:
             patch.setattr(constraint_prop, "step_unitary", unitaries(copy))
-            factorizations = _factorizations(patch, mode)
+            factorizations = _factorizations(patch)
             q, records = run_delay_propagation(system, b, dt, n_steps, cfg, q_true, mode=mode)
             runs.append((q, records, len(factorizations)))
     (q, records, n_factored), (q_ref, records_ref, n_ref) = runs
@@ -224,7 +225,7 @@ def test_second_warm_start_drops_the_kept_solve(mode, stride):
 @pytest.mark.parametrize("mode", ["constrained", "raw"])
 def test_non_finite_history_in_a_reused_stretch_raises(monkeypatch, mode, stride):
     system, b, cfg, dt, n_steps, q_true = _case("crit5", stride)
-    factorizations = _factorizations(monkeypatch, mode)
+    factorizations = _factorizations(monkeypatch)
     prop = DelayPropagator(system, b, cfg, dt, mode=mode)
     prop.warm_start(q_true[:cfg.depth + 1])
     _step_until_reuse(prop, n_steps - cfg.depth)

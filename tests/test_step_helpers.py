@@ -24,7 +24,7 @@ from rdmdelay.constraint_prop import (
     real_half_system,
     solve_constrained,
 )
-from rdmdelay.delay_core import DelayConfig
+from rdmdelay.delay_core import DelayConfig, factor_least_squares
 from rdmdelay.ground_truth import propagate_coefficients, reduced_density_series
 from rdmdelay.harness import generate_synthetic_system
 from rdmdelay.numkit import hermiticity_defect
@@ -94,14 +94,19 @@ def test_sqrt_dot_residual_matches_numpy_norm(size, scale):
 
 
 @pytest.mark.parametrize("complex_system", [False, True])
-def test_solve_constrained_residual_matches_numpy_norm(complex_system):
+def test_least_squares_residual_matches_numpy_norm(complex_system):
+    # the real system of the constrained solve, or the complex one of the raw
+    # mode and propagate_y
     local = np.random.default_rng(8)
-    m_red, b_ell = local.standard_normal((84, 15)), local.standard_normal(84)
+    m, b = local.standard_normal((84, 15)), local.standard_normal(84)
     if complex_system:
-        m_red = m_red + 1j * local.standard_normal((84, 15))
-        b_ell = b_ell + 1j * local.standard_normal(84)
-    x, residual, *_ = solve_constrained(m_red, b_ell, 1e-12)
-    assert residual == float(np.linalg.norm(m_red @ x - b_ell))
+        m = m + 1j * local.standard_normal((84, 15))
+        b = b + 1j * local.standard_normal(84)
+    factor = factor_least_squares(m, 1e-12)
+    x = factor.solve(b)
+    assert factor.residual(x, b) == float(np.linalg.norm(m @ x - b))
+    if not complex_system:
+        assert solve_constrained(m, b, 1e-12).residual == factor.residual(x, b)
 
 
 def test_hermiticity_defect_keeps_its_value():

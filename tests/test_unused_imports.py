@@ -3,21 +3,29 @@
 A name counts as used when the module reads it anywhere (also as the base of
 an attribute or inside a string annotation) or lists it in `__all__`.  The only
 exemption is an import line marked ``# noqa: F401``, for a name another
-package looks up on the module.
+package looks up on the module; the only such package is the benchmark's
+tracer, so every exempt name must be one that `perfbench/tracing.py`'s
+`WRAPPED` looks up on that module.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
 
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-def _imported(tree: ast.Module, lines: list[str]):
-    """(bound name, line) of every import outside `from __future__`, except
-    those on a line marked noqa: F401."""
+import tracing  # noqa: E402
+
+
+def _imported(tree: ast.Module, lines: list[str], exempt: bool = False):
+    """(bound name, line) of every import outside `from __future__` on a line
+    not marked noqa: F401, or with `exempt` of every import on such a line."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
@@ -25,9 +33,8 @@ def _imported(tree: ast.Module, lines: list[str]):
             for alias in node.names:
                 # an alias node carries its own line in a parenthesised import
                 line = getattr(alias, "lineno", node.lineno)
-                if "noqa: F401" in lines[line - 1]:
-                    continue
-                yield (alias.asname or alias.name).split(".")[0], line
+                if ("noqa: F401" in lines[line - 1]) == exempt:
+                    yield (alias.asname or alias.name).split(".")[0], line
 
 
 def _annotations(tree: ast.Module):
@@ -67,6 +74,15 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def test_exempt_imports_are_names_the_tracer_wraps():
+    wrapped = {(owner.__name__, attr) for owner, attr, _, _ in tracing.WRAPPED}
+    for path in MODULES:
+        source = path.read_text()
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for name, line in _imported(ast.parse(source), source.splitlines(), exempt=True):
+            assert (module, name) in wrapped, f"{module}:{line} imports {name} under noqa"
+
+
 def test_guard_flags_unused_and_honours_noqa():
     source = (
         "from __future__ import annotations\n"
@@ -83,3 +99,5 @@ def test_guard_flags_unused_and_honours_noqa():
         "    return flatten(x)\n"
     )
     assert unused_imports(source) == [("os", 2)]
+    assert list(_imported(ast.parse(source), source.splitlines(), exempt=True)) == [
+        ("unflatten", 7)]
