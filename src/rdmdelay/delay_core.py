@@ -31,7 +31,7 @@ from .numkit import (
 
 @dataclass(frozen=True)
 class ReductionMap:
-    """Full-row-rank m x n reduction matrix R (m < n)."""
+    """Full-row-rank m x n reduction matrix R (m <= n)."""
 
     matrix: np.ndarray
 
@@ -51,6 +51,12 @@ class ReductionMap:
         return self.matrix.shape[1]
 
 
+def _require_count(name: str, v, low: int):
+    """Raise `ValidationError` unless v is an int or numpy integer >= low, not a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class DelayConfig:
     """Memory depth ell, stride k, and pseudoinverse relative tolerance."""
@@ -60,10 +66,8 @@ class DelayConfig:
     r_tol: float = 1e-12
 
     def __post_init__(self):
-        for name, low in (("ell", 0), ("stride", 1)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
-                raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
+        _require_count("ell", self.ell, 0)
+        _require_count("stride", self.stride, 1)
         # a NaN fails both comparisons
         if not 0 <= self.r_tol < math.inf:
             raise ValidationError(f"r_tol must be finite and >= 0, got {self.r_tol}")
@@ -87,16 +91,18 @@ def factor_least_squares(a: np.ndarray, r_tol: float) -> LeastSquaresFactor:
 
 
 class KeptMemory(NamedTuple):
-    """M(t) of a `propagate_y` call, with what it was built for."""
+    """M(t) of a `propagate_y` call, the map it was built for, and its factor."""
 
-    r: ReductionMap
+    r: ReductionMap  # compared by identity
     ell: int
     stride: int
     unitary: bool
-    pushes: int  # `HistoryBuffer.pushes` at that call
+    pushes: int  # `HistoryBuffer.pushes` when m was last found current
+    # the one propagator that filled m's whole window, or None
+    constant: np.ndarray | None
     m: np.ndarray
-    # a propagator whose slide left m bitwise unchanged, or None
-    settled: np.ndarray | None
+    r_tol: float | None
+    factor: LeastSquaresFactor | None  # of m at r_tol
 
 
 @dataclass
@@ -104,13 +110,12 @@ class HistoryBuffer:
     """Ring buffer of recent step propagators and reduced vectors.
 
     ``propagators[-1]`` is A(t-1), the step that produced the newest state;
-    ``reduced[-1]`` is y(t).  Capacities are depth and depth+1 respectively.
-    `push` keeps every propagator, and every reduced vector, the shape of
-    the first; ``pushes`` counts the propagators pushed.  ``memory`` is the
-    M(t) of the last `propagate_y` call, which the next call slides (see
-    there), so change the history only through `push`.  ``solved`` is
-    (r_tol, `LeastSquaresFactor` of that M(t)), kept while the step
-    propagator repeats.
+    ``reduced[-1]`` is y(t).  Capacities are depth (an integer >= 0) and
+    depth+1 respectively.  `push` keeps every propagator, and every reduced
+    vector, the shape of the first; ``pushes`` counts the propagators
+    pushed.  ``memory`` is the M(t) of the last `propagate_y` call and its
+    factor, which later calls reuse while M's window is unchanged (see
+    there), so change the history only through `push`.
     """
 
     depth: int
@@ -118,18 +123,21 @@ class HistoryBuffer:
     reduced: deque = field(init=False)
     pushes: int = field(init=False, default=0)
     memory: KeptMemory | None = field(init=False, default=None)
-    solved: tuple[float, LeastSquaresFactor] | None = field(init=False, default=None)
 
     def __post_init__(self):
+        _require_count("depth", self.depth, 0)
+        self.depth = int(self.depth)  # deque takes no numpy integer
         self.propagators = deque(maxlen=max(self.depth, 1))
         self.reduced = deque(maxlen=self.depth + 1)
 
     def push(self, a_prev: np.ndarray | None, y: np.ndarray):
-        """Append A(t-1) (None at the start) and y(t)."""
+        """Append A(t-1) (None at the start, and only there) and y(t)."""
         y = np.asarray(y, dtype=complex).ravel()
         if self.reduced and y.shape != self.reduced[-1].shape:
             raise ValidationError(f"y has shape {y.shape}, but the history's reduced "
                                   f"vectors have shape {self.reduced[-1].shape}")
+        if a_prev is None and self.reduced:
+            raise ValidationError("a_prev may be None only before the first reduced vector")
         if a_prev is not None:
             a_prev = np.asarray(a_prev, dtype=complex)
             if self.propagators and a_prev.shape != self.propagators[-1].shape:
@@ -192,37 +200,27 @@ class StepDiagnostics:
 
 
 def _memory_matrix(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig,
-                   unitary: bool, compare: bool) -> tuple[np.ndarray, bool]:
-    """M(t) for `propagate_y`, and whether it is bitwise the last call's M.
+                   unitary: bool) -> KeptMemory:
+    """M(t) for `propagate_y` as a record, which the caller keeps on the history.
 
-    At stride 1, when one propagator p was pushed since the last call on the
-    same r, ell and unitary, M slides: R over blocks 0..ell-1 of the last M
-    times the back-step of p, one product.  Otherwise `build_M` rebuilds it.
-    Only with `compare` (a solve of the last M is kept) is a new M compared
-    with the last; else it counts as changed.  A slide that left M unchanged
-    leaves it so while p repeats bitwise, so those slides are skipped.
+    The kept record is reused while M's window is unchanged: the same r (by
+    identity), ell, stride and `unitary`, and every propagator pushed since
+    it was built, among the newest cfg.depth, bitwise equal to the one
+    propagator that filled its whole window.  That holds with no push, and
+    at ell 0, whose M reads no propagator.  Otherwise `build_M` forms M.
+    Either way M is bitwise what `build_M` gives on this history.
     """
-    kept = history.memory
-    same_map = (kept is not None and kept.r is r
-                and (kept.ell, kept.stride, kept.unitary) == (cfg.ell, cfg.stride, unitary))
-    # M(t) reads only the propagators, and at ell 0 none of them
-    if same_map and (history.pushes == kept.pushes or cfg.ell == 0):
-        return kept.m, True
-    p = None
-    if same_map and cfg.stride == 1 and history.pushes == kept.pushes + 1:
-        p = history.propagators[-1]
-        if kept.settled is not None and np.array_equal(p, kept.settled):
-            history.memory = kept._replace(pushes=history.pushes)
-            return kept.m, True
-        m_t = np.empty_like(kept.m)
-        m_t[:r.m] = r.matrix
-        np.matmul(kept.m[:-r.m], _back_step(p, unitary), out=m_t[r.m:])
-    else:
-        m_t = build_M(history, r, cfg, unitary=unitary)
-    unchanged = compare and kept is not None and np.array_equal(m_t, kept.m)
-    settled = p.copy() if unchanged and p is not None else None
-    history.memory = KeptMemory(r, cfg.ell, cfg.stride, unitary, history.pushes, m_t, settled)
-    return m_t, unchanged
+    kept, props = history.memory, history.propagators
+    if (kept is not None and kept.r is r
+            and (kept.ell, kept.stride, kept.unitary) == (cfg.ell, cfg.stride, unitary)
+            and all(kept.constant is not None and np.array_equal(props[-1 - i], kept.constant)
+                    for i in range(min(history.pushes - kept.pushes, cfg.depth)))):
+        return kept
+    m_t = build_M(history, r, cfg, unitary=unitary)
+    window = [props[-1 - i] for i in range(cfg.depth)]
+    filled = window and all(np.array_equal(p, window[0]) for p in window[1:])
+    constant = window[0].copy() if filled else None
+    return KeptMemory(r, cfg.ell, cfg.stride, unitary, history.pushes, constant, m_t, None, None)
 
 
 def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
@@ -239,15 +237,11 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
     history of y(0)..y(t), as `DelayPropagator.step` numbers its steps.  An
     a_t, or a history, whose shapes do not match r raises `ValidationError`.
 
-    M(t) is kept on the history and, at stride 1, slid by one back-step per
-    pushed propagator instead of rebuilt (`_memory_matrix`).  A slid block
-    is ((R B_1) B_2) ... where `build_M` forms R (B_1 (B_2 ...)), so the two
-    differ by rounding that does not grow with the run: a block leaves the
-    window after ell products.  The pseudoinverse is reused while M(t) and
-    r_tol are bitwise those of the last step, as
-    `constraint_prop.DelayPropagator` reuses its solves: it is kept on the
-    history only when a_t is the previous step's propagator, so nothing is
-    kept, and no M compared, while the propagators change.
+    M(t) and its factor are kept on the history and reused while M's window
+    of propagators is unchanged (`_memory_matrix`); the factor is formed
+    again when r_tol changes.  M(t) depends only on r, ell, stride,
+    `unitary` and that window, so every output is bitwise what the same
+    call gives on a new `HistoryBuffer` with the same contents.
     """
     a_t = as_complex_matrix(a_t, "A(t)")
     if a_t.shape != (r.n, r.n):
@@ -260,25 +254,25 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
         raise ValidationError(f"the history's reduced vectors have shape "
                               f"{history.reduced[-1].shape}, but r has m = {r.m}")
     step = history.pushes + 1
-    r_tol, solved = history.solved or (None, None)
-    history.solved = None  # until this step has succeeded
     try:
-        m_t, unchanged = _memory_matrix(history, r, cfg, unitary, compare=solved is not None)
+        kept = _memory_matrix(history, r, cfg, unitary)
     except NumericalError as exc:
         raise NumericalError(f"propagate_y: step {step}: the memory-matrix stage "
                              f"failed: {exc}") from exc
     y_stack = history.stacked_reduced(cfg)
-    if r_tol != cfg.r_tol or not unchanged:
+    if kept.r_tol != cfg.r_tol:
         try:
-            solved = factor_least_squares(m_t, cfg.r_tol)
+            kept = kept._replace(r_tol=cfg.r_tol, factor=factor_least_squares(kept.m, cfg.r_tol))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"propagate_y: step {step}: the solve stage "
                                  f"failed: {exc}") from exc
-    rank, cond = solved.effective_rank, solved.condition_number
+    history.memory = kept._replace(pushes=history.pushes)
+    factor = kept.factor
+    rank, cond = factor.effective_rank, factor.condition_number
     # a non-finite z_hat or y(t+1) is reported below, naming the stage
     with np.errstate(over="ignore", invalid="ignore"):
-        z_hat = solved.solve(y_stack)
-        residual = solved.residual(z_hat, y_stack)
+        z_hat = factor.solve(y_stack)
+        residual = factor.residual(z_hat, y_stack)
         y_next = r.matrix @ (a_t @ z_hat)
     deficient = rank < r.n
     if deficient:
@@ -294,8 +288,6 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
         stage = "propagation" if np.isfinite(z_hat).all() else "solve"
         raise NumericalError(f"propagate_y: step {step}: the {stage} stage "
                              f"produced non-finite values")
-    repeat = bool(history.propagators) and np.array_equal(a_t, history.propagators[-1])
-    history.solved = (cfg.r_tol, solved) if repeat else None
     return y_next, StepDiagnostics(rank, cond, residual, deficient)
 
 
@@ -346,8 +338,7 @@ def mori_zwanzig_propagate(a, r: ReductionMap, y0, ytilde0, steps: int,
     a = as_complex_matrix(a, "a")
     if a.shape != (r.n, r.n):
         raise ValidationError(f"a has shape {a.shape}, expected {(r.n, r.n)}")
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 0:
-        raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
+    _require_count("steps", steps, 0)
     y0 = np.asarray(y0, dtype=complex).ravel()
     ytilde0 = np.asarray(ytilde0, dtype=complex).ravel()
     for name, v, size in (("y0", y0, r.m), ("ytilde0", ytilde0, r.n - r.m)):
@@ -406,5 +397,11 @@ def mori_zwanzig_propagate(a, r: ReductionMap, y0, ytilde0, steps: int,
         raise NumericalError(
             f"mori_zwanzig_propagate: y({int(np.argmin(finite))}) is not finite")
     norm0 = max(float(np.linalg.norm(y0)), np.finfo(float).tiny)
-    diverged = bool((np.linalg.norm(traj[1:], axis=1) > 1e3 * norm0).any())
+    # ||y(t)||^2, t = 1..steps, as a (1 x 2m)(2m x 1) product per row of
+    # rev[:steps]'s float view: no trajectory-sized temporary, and no kernel
+    # a run does not load anyway (np.einsum's code pages cost 0.1 MB of peak
+    # RSS); an overflowing sum is inf, so diverged
+    flat = rev[:steps].view(float)
+    with np.errstate(over="ignore"):
+        diverged = bool((np.sqrt(flat[:, None] @ flat[..., None]) > 1e3 * norm0).any())
     return traj, diverged

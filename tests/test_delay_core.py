@@ -1,7 +1,11 @@
+import contextlib
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdmdelay import delay_core
 from rdmdelay.delay_core import (
@@ -211,16 +215,35 @@ def test_propagate_y_reuses_the_pseudoinverse_while_m_is_unchanged(monkeypatch):
     assert diag.effective_rank < n
 
 
-def test_propagate_y_keeps_nothing_while_propagators_change():
+@contextlib.contextmanager
+def _counted_calls():
+    """Counts of the build_M and pinv_thresholded calls made in delay_core."""
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("build_M", "pinv_thresholded"):
+            def counting(*args, _name=name, _original=getattr(delay_core, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            mp.setattr(delay_core, name, counting)
+        yield counts
+
+
+def test_propagate_y_rebuilds_while_propagators_change():
+    # every new propagator changes M's window: M is built and factored
+    # afresh; a second call on the same history reuses both
     n, m_rows, ell = 4, 2, 1
     r, hist, _, _, local = _random_history(n, m_rows, ell, seed=21)
     for _ in range(5):
         a = random_unitary(n, local)
-        y, _ = propagate_y(hist, r, a, DelayConfig(ell=ell))
-        assert hist.solved is None
+        with _counted_calls() as calls:
+            y, _ = propagate_y(hist, r, a, DelayConfig(ell=ell))
+        assert calls == {"build_M": 1, "pinv_thresholded": 1}
         hist.push(a, y)
-    y, _ = propagate_y(hist, r, a, DelayConfig(ell=ell))
-    assert hist.solved is not None  # a repeated: the solve is kept
+    with _counted_calls() as calls:
+        propagate_y(hist, r, a, DelayConfig(ell=ell))
+        propagate_y(hist, r, a, DelayConfig(ell=ell))
+    assert calls == {"build_M": 1, "pinv_thresholded": 1}
 
 
 def _invertible_history(sigma, seed=33):
@@ -257,7 +280,7 @@ def test_propagate_y_ill_conditioned_propagator_raises_numerical_error():
     assert f"step {hist.pushes + 1}: the memory-matrix stage" in str(info.value)
 
 
-# -- the memory matrix slid by propagate_y at stride 1 ----------------------
+# -- the memory matrix kept by propagate_y ------------------------------------
 
 
 def _invertible(n, local):
@@ -291,8 +314,8 @@ def _memory_pairs(r, props, cfg, unitary=True):
     return pairs
 
 
-def _slide_case(kind):
-    """(r, propagators, cfg, unitary) of each slide run."""
+def _memory_case(kind):
+    """(r, propagators, cfg, unitary) of each run."""
     local = np.random.default_rng(41)
     n, m_rows, ell, steps = 16, 4, 3, 200
     r = ReductionMap(local.standard_normal((m_rows, n)) + 1j * local.standard_normal((m_rows, n)))
@@ -307,7 +330,7 @@ def _slide_case(kind):
         return r, [_invertible(n, local) for _ in range(ell + steps)], DelayConfig(ell=ell), False
     if kind == "ell 0":
         return r, [random_unitary(n, local) for _ in range(steps)], DelayConfig(ell=0), True
-    # ell 1 with coordinate rows: slid and rebuilt blocks agree bit for bit
+    # ell 1 with coordinate rows
     r = ReductionMap(np.eye(n)[:m_rows].astype(complex))
     return r, [random_unitary(n, local) for _ in range(1 + steps)], DelayConfig(ell=1), True
 
@@ -316,20 +339,17 @@ def _slide_case(kind):
 @pytest.mark.parametrize("kind", ["dense constant", "distinct", "invertible", "ell 0",
                                   "ell 1"])
 def test_slid_memory_matches_build_M_at_every_step(kind):
-    r, props, cfg, unitary = _slide_case(kind)
+    r, props, cfg, unitary = _memory_case(kind)
     pairs = _memory_pairs(r, props, cfg, unitary)
     assert len(pairs) == len(props) - cfg.depth
-    for slid, built in pairs:
-        assert slid.shape == built.shape
-        if kind in ("ell 0", "ell 1"):
-            assert slid.tobytes() == built.tobytes()
-        else:
-            assert np.max(np.abs(slid - built)) <= 1e-13 * np.max(np.abs(built))
+    # a kept M is only ever one that build_M formed on the same window
+    for kept, built in pairs:
+        assert kept.shape == built.shape and kept.tobytes() == built.tobytes()
 
 
-def _slid_history(n=6, m_rows=2, ell=2, steps=5, seed=43, capacity=None):
+def _stepped_history(n=6, m_rows=2, ell=2, steps=5, seed=43, capacity=None):
     """A history stepped `steps` times by propagate_y on distinct random
-    unitaries (kept M slid), with the next propagator."""
+    unitaries, with the next propagator."""
     local = np.random.default_rng(seed)
     r = ReductionMap(local.standard_normal((m_rows, n)) + 1j * local.standard_normal((m_rows, n)))
     props = [random_unitary(n, local) for _ in range(ell + steps + 1)]
@@ -348,30 +368,47 @@ def _rebuilt(hist, r, cfg, unitary=True):
 
 
 def test_two_pushes_rebuild_the_memory():
-    r, hist, cfg, a, z = _slid_history()
+    # the kept M's window held distinct propagators, so pushes of a, even
+    # once a fills the window, rebuild it; from then on a's pushes reuse it
+    r, hist, cfg, a, z = _stepped_history()
     propagate_y(hist, r, a, cfg)
-    assert not _rebuilt(hist, r, cfg)  # slid: the check below can tell
+    assert hist.memory.constant is None
     for _ in range(2):
         z = a @ z
         hist.push(a, r.matrix @ z)
-    propagate_y(hist, r, a, cfg)
+    with _counted_calls() as calls:
+        propagate_y(hist, r, a, cfg)
+    assert calls == {"build_M": 1, "pinv_thresholded": 1}
     assert _rebuilt(hist, r, cfg)
+    hist.push(a, r.matrix @ (a @ z))
+    with _counted_calls() as calls:
+        propagate_y(hist, r, a, cfg)
+    assert calls == {}
 
 
 @pytest.mark.parametrize("change", ["r", "ell", "unitary"])
 def test_another_map_rebuilds_the_memory(change):
-    r, hist, cfg, a, z = _slid_history(capacity=4)
-    propagate_y(hist, r, a, cfg)
-    assert not _rebuilt(hist, r, cfg)
+    r, hist, cfg, a, z = _stepped_history(capacity=4)
+    for _ in range(cfg.depth):
+        z = a @ z
+        hist.push(a, r.matrix @ z)
+    propagate_y(hist, r, a, cfg)  # M's window holds a alone
+    z = a @ z
+    hist.push(a, r.matrix @ z)
+    with _counted_calls() as calls:
+        propagate_y(hist, r, a, cfg)
+    assert calls == {}  # the same map reuses M and its factor
     hist.push(a, r.matrix @ (a @ z))
     unitary = True
     if change == "r":
-        r = ReductionMap(r.matrix.copy())
+        r = ReductionMap(r.matrix.copy())  # r is compared by identity
     elif change == "ell":
         cfg = DelayConfig(ell=cfg.ell + 1)
     else:
         unitary = False
-    propagate_y(hist, r, a, cfg, unitary=unitary)
+    with _counted_calls() as calls:
+        propagate_y(hist, r, a, cfg, unitary=unitary)
+    assert calls == {"build_M": 1, "pinv_thresholded": 1}
     assert _rebuilt(hist, r, cfg, unitary)
 
 
@@ -379,12 +416,12 @@ def test_stride_above_one_rebuilds_every_step():
     local = np.random.default_rng(44)
     r = ReductionMap(local.standard_normal((2, 6)) + 1j * local.standard_normal((2, 6)))
     props = [random_unitary(6, local) for _ in range(24)]
-    for slid, built in _memory_pairs(r, props, DelayConfig(ell=2, stride=2)):
-        assert slid.tobytes() == built.tobytes()
+    for kept, built in _memory_pairs(r, props, DelayConfig(ell=2, stride=2)):
+        assert kept.tobytes() == built.tobytes()
 
 
 def test_a_second_call_without_a_push_returns_the_same_y():
-    r, hist, cfg, a, _ = _slid_history()
+    r, hist, cfg, a, _ = _stepped_history()
     y, diag = propagate_y(hist, r, a, cfg)
     y_again, diag_again = propagate_y(hist, r, a, cfg)
     assert y_again.tobytes() == y.tobytes() and diag_again == diag
@@ -409,7 +446,7 @@ def test_ill_conditioned_propagator_after_slid_steps_raises_at_the_next_call():
 
 
 @pytest.mark.filterwarnings("ignore:M\\(t\\) rank:RuntimeWarning")
-def test_settled_slide_is_skipped_until_the_propagator_changes(monkeypatch):
+def test_constant_window_is_reused_until_the_propagator_changes():
     # mz_compare's case: a constant dense unitary and coordinate rows
     local = np.random.default_rng(46)
     n, m_rows = 16, 4
@@ -418,61 +455,117 @@ def test_settled_slide_is_skipped_until_the_propagator_changes(monkeypatch):
     cfg = DelayConfig(ell=n // m_rows - 1)
     z = local.standard_normal(n) + 1j * local.standard_normal(n)
     hist, z = _filled_history(r, [a] * cfg.depth, cfg.depth, z)
-    back_steps, solves = [], []
-
-    def counting_back_step(*args):
-        back_steps.append(1)
-        return delay_core._back_step.__wrapped__(*args)
-
-    counting_back_step.__wrapped__ = delay_core._back_step
-    monkeypatch.setattr(delay_core, "_back_step", counting_back_step)
-    monkeypatch.setattr(delay_core, "pinv_thresholded",
-                        lambda *args: solves.append(1) or pinv_thresholded(*args))
+    calls = Counter()
 
     def step(p):
         nonlocal z
-        y, _ = propagate_y(hist, r, p, cfg)
-        counted = len(back_steps)  # build_M's back-steps are not counted
-        assert np.max(np.abs(hist.memory.m - build_M(hist, r, cfg))) <= 1e-13
-        del back_steps[counted:]
+        with _counted_calls() as counts:
+            y, diag = propagate_y(hist, r, p, cfg)
+        calls.update(counts)
+        y_fresh, diag_fresh = propagate_y(_copied_history(hist), r, p, cfg)
+        assert y.tobytes() == y_fresh.tobytes() and diag == diag_fresh
+        assert _rebuilt(hist, r, cfg)
         z = p @ z
         hist.push(p, r.matrix @ z)
-        return y
 
-    for _ in range(20):
+    for _ in range(30):
         step(a)
-    settled_back_steps, settled_solves = len(back_steps), len(solves)
-    assert settled_solves <= cfg.ell + 1
-    for _ in range(10):
-        step(a)
-    # the settled steps neither slide nor solve
-    assert (len(back_steps), len(solves)) == (settled_back_steps, settled_solves)
-    # the first b steps the settled M, pushed with a; the next sees b pushed,
-    # slides M again and solves afresh
-    step(b)
-    step(b)
-    assert len(back_steps) == settled_back_steps + 1
-    assert len(solves) == settled_solves + 1
-    counted = len(back_steps)
-    fresh, _ = propagate_y(_copied_history(hist), r, a, cfg)  # one more solve
-    del back_steps[counted:]
-    y = step(a)
-    assert len(back_steps) == settled_back_steps + 2
-    assert len(solves) == settled_solves + 3
-    assert np.max(np.abs(y - fresh)) <= 1e-12
+    assert calls == {"build_M": 1, "pinv_thresholded": 1}
+    # the first call on b still sees a window of a alone; over the next
+    # cfg.depth calls b enters the window, and the last of them finds it
+    # filled with b, which the calls after it reuse
+    for _ in range(cfg.depth + 10):
+        step(b)
+    assert calls == {"build_M": 1 + cfg.depth, "pinv_thresholded": 1 + cfg.depth}
+    assert np.array_equal(hist.memory.constant, b)
+
+
+_OPS = ("push same", "push unitary", "push invertible", "call", "call twice",
+        "call loose", "call copied r")
+
+
+@pytest.mark.filterwarnings("ignore:M\\(t\\) rank:RuntimeWarning")
+@settings(max_examples=200)
+@given(ell=st.integers(0, 3), stride=st.integers(1, 2), spare=st.integers(0, 2),
+       ops=st.lists(st.sampled_from(_OPS), max_size=20), seed=st.integers(0, 2**32 - 1))
+def test_propagate_y_depends_only_on_the_history(ell, stride, spare, ops, seed):
+    # every call gives, bit for bit, what the same call gives on a new
+    # buffer with the same contents; once a call has kept M for a window
+    # filled with one propagator, pushes of it and calls at the same map
+    # and r_tol build and factor nothing
+    local = np.random.default_rng(seed)
+    n = 6
+    r = ReductionMap(local.standard_normal((2, n)) + 1j * local.standard_normal((2, n)))
+    cfg = DelayConfig(ell=ell, stride=stride)
+    last = random_unitary(n, local)
+    hist = HistoryBuffer(cfg.depth + spare)
+    for j in range(cfg.depth + 1):
+        hist.push(last if j else None, local.standard_normal(2) + 1j * local.standard_normal(2))
+    unitary, settled = True, False
+
+    def call(r_call, r_tol=cfg.r_tol):
+        cfg_call = DelayConfig(ell, stride, r_tol)
+        with _counted_calls() as counts:
+            y, diag = propagate_y(hist, r_call, last, cfg_call, unitary=unitary)
+        y_fresh, diag_fresh = propagate_y(_copied_history(hist), r_call, last, cfg_call,
+                                          unitary=unitary)
+        assert y.tobytes() == y_fresh.tobytes() and diag == diag_fresh
+        return counts
+
+    for op in ops:
+        if op.startswith("push"):
+            if op == "push unitary":
+                last, settled = random_unitary(n, local), False
+            elif op == "push invertible":
+                last, unitary, settled = _invertible(n, local), False, False
+            hist.push(last, local.standard_normal(2) + 1j * local.standard_normal(2))
+        elif op == "call loose":
+            call(r, 0.5)
+            settled = False
+        elif op == "call copied r":
+            # r is compared by identity, so a copy rebuilds M
+            assert call(ReductionMap(r.matrix.copy()))["build_M"] == 1
+            settled = False
+        else:
+            for _ in range(2 if op == "call twice" else 1):
+                counts = call(r)
+                assert not settled or counts == {}
+                settled = all(np.array_equal(hist.propagators[-1 - i], last)
+                              for i in range(cfg.depth))
 
 
 # -- shapes that do not match r -----------------------------------------------
 
 
+@pytest.mark.parametrize("depth", [-1, 2.5, True, None])
+def test_history_buffer_rejects_a_depth_that_is_not_a_count(depth):
+    with pytest.raises(ValidationError, match="depth must be an integer >= 0"):
+        HistoryBuffer(depth)
+
+
+def test_history_buffer_accepts_numpy_and_zero_depths():
+    assert HistoryBuffer(np.int64(3)).reduced.maxlen == 4
+    assert HistoryBuffer(0).reduced.maxlen == 1
+
+
+def test_push_without_a_propagator_only_starts_a_history():
+    # a None propagator after the start would leave `pushes` behind the
+    # reduced vectors, and the next step would be built from the wrong y's
+    r, hist, cfg, a, z = _stepped_history()
+    pushes, reduced = hist.pushes, list(hist.reduced)
+    with pytest.raises(ValidationError, match="a_prev may be None only before the first"):
+        hist.push(None, r.matrix @ z)
+    assert hist.pushes == pushes and list(hist.reduced) == reduced
+
+
 def test_propagate_y_rejects_a_t_of_another_shape():
-    r, hist, cfg, a, _ = _slid_history()
+    r, hist, cfg, a, _ = _stepped_history()
     with pytest.raises(ValidationError, match=r"a_t has shape \(5, 5\), but r has n = 6"):
         propagate_y(hist, r, a[:5, :5], cfg)
 
 
 def test_push_rejects_a_propagator_of_another_shape():
-    r, hist, cfg, a, z = _slid_history()
+    r, hist, cfg, a, z = _stepped_history()
     with pytest.raises(ValidationError,
                        match=r"a_prev has shape \(5, 5\).*propagators have shape \(6, 6\)"):
         hist.push(a[:5, :5], r.matrix @ z)
@@ -482,7 +575,7 @@ def test_push_rejects_a_propagator_of_another_shape():
 
 
 def test_push_rejects_a_reduced_vector_of_another_length():
-    r, hist, cfg, a, z = _slid_history()
+    r, hist, cfg, a, z = _stepped_history()
     with pytest.raises(ValidationError,
                        match=r"y has shape \(3,\).*reduced vectors have shape \(2,\)"):
         hist.push(a, np.zeros(3))
@@ -490,7 +583,7 @@ def test_push_rejects_a_reduced_vector_of_another_length():
 
 
 def test_propagate_y_rejects_a_history_of_other_reduced_vectors():
-    r, hist, cfg, a, _ = _slid_history()
+    r, hist, cfg, a, _ = _stepped_history()
     r3 = ReductionMap(np.vstack([r.matrix, np.eye(6)[0]]))
     with pytest.raises(ValidationError,
                        match=r"reduced vectors have shape \(2,\), but r has m = 3"):
@@ -498,7 +591,7 @@ def test_propagate_y_rejects_a_history_of_other_reduced_vectors():
 
 
 def test_propagate_y_rejects_an_r_of_another_n():
-    r, hist, cfg, _, _ = _slid_history()
+    r, hist, cfg, _, _ = _stepped_history()
     r8 = ReductionMap(np.hstack([r.matrix, np.ones((2, 2))]))
     with pytest.raises(ValidationError,
                        match=r"propagators have shape \(6, 6\), but r has n = 8"):
@@ -683,6 +776,9 @@ def test_mori_zwanzig_memory_stays_below_a_power_stack():
     finally:
         tracemalloc.stop()
     assert peak < kept + power_stack // 2
+    # nor a temporary of the whole trajectory beyond one of its size
+    trajectory = (steps + 1) * m * 16
+    assert peak - kept < 2 * trajectory
 
 
 @pytest.mark.parametrize("steps", [-1, 2.5, True])
