@@ -12,6 +12,8 @@ trace-1, and exactly zero where declared, at no accuracy cost.  The raw
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .ci_model import BTensor, CiSystem
-from .delay_core import DelayConfig, factor_least_squares
+from .delay_core import DelayConfig, _require_count, factor_least_squares
 from .ground_truth import step_unitaries, step_unitary
 from .numkit import (
     LeastSquaresFactor,
@@ -102,6 +104,9 @@ class ConstraintSpec:
     zero_pairs: frozenset = frozenset()
 
     def __post_init__(self):
+        tv = self.trace_value
+        if isinstance(tv, bool) or not isinstance(tv, numbers.Real) or not math.isfinite(tv):
+            raise ValidationError(f"trace_value must be a finite real number, got {tv!r}")
         pairs = frozenset((min(i, j), max(i, j)) for i, j in self.zero_pairs)
         object.__setattr__(self, "zero_pairs", pairs)
         for i, j in pairs:
@@ -135,17 +140,12 @@ class ConstraintSpec:
         """Index of the trace-eliminated diagonal coordinate."""
         return self._pivot_diag
 
-    def _plan_for(self, basis: HermitianBasis):
-        """The free coordinates and their vec positions (diagonal, upper,
-        lower), read-only and built with the spec."""
+    def kept_coords(self, basis: HermitianBasis) -> np.ndarray:
+        """Sorted indices of the free coordinates, as a read-only array."""
         if basis.n_c != self.n_c:
             raise ValidationError(
                 f"basis has n_c = {basis.n_c}, constraint spec has n_c = {self.n_c}")
-        return self._plan
-
-    def kept_coords(self, basis: HermitianBasis) -> np.ndarray:
-        """Sorted indices of the free coordinates, as a read-only array."""
-        return self._plan_for(basis)[0]
+        return self._plan[0]
 
     def reconstruct(self, x_reduced: np.ndarray, basis: HermitianBasis) -> np.ndarray:
         """Affine map from the reduced solution back to all n_c^2 coordinates."""
@@ -160,41 +160,72 @@ class ConstraintSpec:
         return x
 
 
-def assemble_constrained_system(m: np.ndarray, basis: HermitianBasis,
-                                spec: ConstraintSpec, q_hist: np.ndarray, *,
-                                out: np.ndarray | None = None):
-    """Reduce M x = q_hist to the free real coordinates.
+@functools.cache
+def _real_half_plan(spec: ConstraintSpec, k: int, blocks: int):
+    """(x, y, s, r): each block of `assemble_constrained_system`'s A is
+    x + s * y, read at positions x and y of the block's rows in M's float
+    view, and its b is read at positions r of b_ell's float view."""
+    n, h = spec.n_c, k * (k + 1) // 2
+    _, diag, upper, lower = spec._plan
+    n_d, n_p = len(diag), len(upper)
+    row = np.r_[0:h, k:h][:, None]  # the source row of each of a block's K^2 rows
+    im = (np.arange(k * k) >= h)[:, None]  # the rows that take imaginary parts
+    anti = np.repeat([False, False, True], [n_d, n_p, n_p])  # the i (u - lo) columns
+    first = np.concatenate([diag, upper, upper])
+    second = np.concatenate([np.full(n_d, spec.pivot * (n + 1)), lower, lower])
+    # Re i (u - lo) = Im lo - Im u and Im i (u - lo) = Re u - Re lo
+    swap, base = anti & ~im, row * 2 * n * n + (im ^ anti)
+    x = base + 2 * np.where(swap, second, first)
+    y = base + 2 * np.where(swap, first, second)
+    r = (2 * h * np.arange(blocks)[:, None] + (2 * row + im).ravel()).ravel()
+    return x, y, np.repeat([-1.0, 1.0, -1.0], [n_d, n_p, n_p]), r
 
-    Returns (M'', b_ell):  M' = M S~ with the pivot column subtracted from
-    the other retained diagonal columns and then deleted; M'' additionally
-    drops the zero-pattern columns; b_ell = q_hist - trace_value * (M S~)
-    pivot column.  S~ has at most two nonzeros per column, so the columns of
-    M S~ are gathered from M rather than multiplied out.  M'' is written
-    into `out`, a complex array of its shape, when one is given.
+
+def assemble_constrained_system(m: np.ndarray, spec: ConstraintSpec, q_hist: np.ndarray,
+                                k: int, *, out: np.ndarray | None = None):
+    """The real system (A, b) of M x = q_hist in the free real coordinates.
+
+    M S~ loses its zero-pattern columns, and its pivot column is subtracted
+    from the other diagonal columns and deleted; b_ell = q_hist -
+    trace_value * (M S~) pivot column.  M and q_hist hold blocks of
+    `hermitian_half(k)` rows, and each block of A and b keeps the real part
+    of every row, then the imaginary part of the upper rows: K^2 real rows
+    with the Gram matrix and A^T b of all 2 K^2 (the diagonal rows'
+    imaginary parts vanish for a Hermitian-preserving M, and each lower row
+    is the conjugate of an upper one).  Each column diag - pivot, u + lo or
+    i (u - lo) of M S~ takes two parts of each row of M, gathered from M's
+    float view straight into A, or into `out`, a C-ordered float array of
+    A's shape, when one is given.
     """
-    m = as_complex_matrix(m, "M")
-    if m.shape[1] != basis.dim:
-        raise ValidationError(f"M has {m.shape[1]} columns, expected {basis.dim}")
+    m = np.ascontiguousarray(as_complex_matrix(m, "M"))
+    rows, n = m.shape[0], spec.n_c
+    if m.shape[1] != n * n:
+        raise ValidationError(f"M has {m.shape[1]} columns, expected {n * n}")
     q_hist = np.asarray(q_hist, dtype=complex).ravel()
-    if q_hist.size != m.shape[0]:
-        raise ValidationError(f"q_hist has length {q_hist.size}, expected {m.shape[0]}")
-    _, diag, upper, lower = spec._plan_for(basis)
-    pivot_col = m[:, spec.pivot * (basis.n_c + 1)]
-    u, lo = m[:, upper], m[:, lower]
-    sym = u + lo
-    # i (u - lo) in the gathered u: one large temporary fewer per step
-    anti = np.multiply(np.subtract(u, lo, out=u), 1j, out=u)
+    if q_hist.size != rows:
+        raise ValidationError(f"q_hist has length {q_hist.size}, expected {rows}")
+    h = k * (k + 1) // 2
+    if not k >= 1 or rows % h:
+        raise ValidationError(f"M has {rows} rows, not whole blocks of K(K+1)/2 = {h} rows")
+    x, y, s, _ = _real_half_plan(spec, k, rows // h)
     if out is None:  # C order, as the propagator's kept array: BLAS rounds by layout
-        out = np.empty((m.shape[0], len(diag) + 2 * len(upper)), dtype=complex)
-    m_red = np.concatenate([m[:, diag] - pivot_col[:, None], sym, anti], axis=1, out=out)
-    return m_red, constrained_rhs(m, basis, spec, q_hist)
+        out = np.empty((rows // h * k * k, len(s)))
+    m_float = m.view(float).reshape(rows // h, -1)
+    a = out.reshape(rows // h, k * k, len(s))
+    # every position is in range; "clip" lets take write into `out` unbuffered
+    np.take(m_float, x, axis=1, out=a, mode="clip")
+    second = np.take(m_float, y, axis=1, mode="clip")
+    # a sign of +-1 is exact, and x + (-y) is x - y bit for bit
+    np.add(a, np.multiply(second, s, out=second), out=a)
+    return out, constrained_rhs(m, spec, q_hist, k)
 
 
-def constrained_rhs(m: np.ndarray, basis: HermitianBasis, spec: ConstraintSpec,
-                    q_hist: np.ndarray) -> np.ndarray:
-    """b_ell of `assemble_constrained_system`, for a complex M and a
-    flat complex q_hist."""
-    return q_hist - spec.trace_value * m[:, spec.pivot * (basis.n_c + 1)]
+def constrained_rhs(m: np.ndarray, spec: ConstraintSpec, q_hist: np.ndarray,
+                    k: int) -> np.ndarray:
+    """b of `assemble_constrained_system`, for a complex M and a flat
+    complex q_hist."""
+    b_ell = q_hist - spec.trace_value * m[:, spec.pivot * (spec.n_c + 1)]
+    return b_ell.view(float)[_real_half_plan(spec, k, len(b_ell) // (k * (k + 1) // 2))[3]]
 
 
 def hermitian_half(k: int):
@@ -209,40 +240,6 @@ def hermitian_half(k: int):
     return np.concatenate([diag, upper]), np.repeat([1.0, np.sqrt(2.0)], [k, len(upper)])
 
 
-def real_half_system(m_red: np.ndarray, b_ell: np.ndarray, k: int, *,
-                     out: np.ndarray | None = None):
-    """The real system (A, b) of M'' x = b_ell built on `hermitian_half(k)` rows.
-
-    m_red and b_ell hold blocks of K(K+1)/2 weighted rows each.  The real
-    system takes the real part of every row and the imaginary part of the
-    upper rows, in that order per block: K^2 real rows, the real
-    coordinates of the block in `HermitianBasis(k)` order.  The imaginary
-    parts of the diagonal rows vanish for a Hermitian-preserving M, and
-    each lower row is the conjugate of its upper row, so with the sqrt(2)
-    weights this system has the Gram matrix and A^T b of the stacked
-    system of all 2 K^2 real rows.  A is written into `out`, a float array
-    of its shape, when one is given.
-    """
-    h, cols = k * (k + 1) // 2, m_red.shape[1]
-    blocks = m_red.reshape(-1, h, cols)
-    if out is not None:
-        out = out.reshape(-1, k * k, cols)
-    a = np.concatenate([blocks.real, blocks[:, k:].imag], axis=1, out=out)
-    return a.reshape(-1, cols), real_half_rhs(b_ell, k)
-
-
-def real_half_rhs(b_ell: np.ndarray, k: int) -> np.ndarray:
-    """The right-hand side of `real_half_system`, one gather from b_ell's float view."""
-    b_ell = np.ascontiguousarray(b_ell, dtype=complex).reshape(-1, k * (k + 1) // 2)
-    return b_ell.view(float).ravel()[_real_half_positions(k, len(b_ell))]
-
-
-@functools.cache
-def _real_half_positions(k: int, blocks: int) -> np.ndarray:
-    w = k * (k + 1)  # per block of w floats: all real parts, then the upper rows' imaginary
-    return (w * np.arange(blocks)[:, None] + np.r_[0:w:2, 2 * k + 1:w:2]).ravel()
-
-
 class ConstrainedSolve(NamedTuple):
     x: np.ndarray
     residual: float
@@ -253,7 +250,7 @@ class ConstrainedSolve(NamedTuple):
 
 def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float) -> ConstrainedSolve:
     """Real least-squares solve of M'' x = b_ell, for a real system such as
-    `real_half_system`'s; a complex one raises `ValidationError`.
+    `assemble_constrained_system`'s; a complex one raises `ValidationError`.
 
     The real solution makes the reconstructed density exactly Hermitian.
     `factor_least_squares` solves a well-conditioned step from the normal
@@ -265,8 +262,8 @@ def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float) -> Con
     another right-hand side.
     """
     if np.iscomplexobj(m_red) or np.iscomplexobj(b_ell):
-        raise ValidationError("solve_constrained takes a real system: build it from "
-                              "M'' and b_ell with real_half_system")
+        raise ValidationError("solve_constrained takes a real system: build it "
+                              "with assemble_constrained_system")
     factor = factor_least_squares(m_red, r_tol)
     x = factor.solve(b_ell)
     return ConstrainedSolve(x, factor.residual(x, b_ell), factor.effective_rank,
@@ -326,12 +323,14 @@ class DelayPropagator:
     result bit for bit.  Nothing is kept on a step whose E differs from the
     previous step's.
 
-    The raw mode keeps all K^2 complex rows of every block and every Q.  The
+    The raw mode keeps all K^2 complex rows of every block and every Q and
+    solves for all of vec(P), so it takes only the default spec.  The
     constrained mode keeps only the `hermitian_half(K)` rows, the diagonal
     and the sqrt(2)-weighted strictly upper entries of Q, in the stack and
-    in the history, and solves the `real_half_system` of K^2 real rows per
-    block instead of 2 K^2: for Hermitian P and Q the dropped rows repeat
-    the kept ones, so the least-squares objective is unchanged.
+    in the history, and a fresh step assembles the real system of K^2 real
+    rows per block (`assemble_constrained_system`) in one pass instead of
+    2 K^2: for Hermitian P and Q the dropped rows repeat the kept ones, so
+    the least-squares objective is unchanged.
     """
 
     def __init__(self, system: CiSystem, b: BTensor, cfg: DelayConfig, dt: float,
@@ -353,6 +352,8 @@ class DelayPropagator:
         self.spec = spec if spec is not None else ConstraintSpec(self.n_c)
         if self.spec.n_c != self.n_c:
             raise ValidationError("constraint spec dimension mismatch")
+        if mode == "raw" and (self.spec.zero_pairs or self.spec.trace_value != 1):
+            raise ValidationError("raw mode takes no declared zeros and no trace but 1")
         self.b_tilde = b.matricized
         depth, n, k2 = cfg.depth, self.n_c, self.k_orb ** 2
         # the rows of vec(Q) that the stack and the history keep, and their weights
@@ -375,11 +376,10 @@ class DelayPropagator:
         # in a slide
         self._work = np.empty((cfg.ell, h * n, n), dtype=complex)
         if mode == "constrained":
-            # M'' and the real system, rewritten by every step: fresh arrays of
-            # these sizes (1.4 and 1.1 MB at N_C = 16, ell 32) cost every step
-            # a round of page faults
+            # the real system, rewritten by every fresh step: a new array of
+            # this size (1.1 MB at N_C = 16, ell 32) costs every step a round
+            # of page faults
             n_free = len(self.spec.kept_coords(self.basis))
-            self._m_red = np.empty(((cfg.ell + 1) * h, n_free), dtype=complex)
             self._a = np.empty(((cfg.ell + 1) * k2, n_free))
         # the factored system of the last solve while M is bitwise its M
         # (else None), and the step unitary the last step applied
@@ -405,8 +405,9 @@ class DelayPropagator:
         is dropped.  In constrained mode every seed
         must be finite and Hermitian (`numkit.require_hermitian`), since
         only its diagonal and upper triangle are kept; nothing is written
-        until every seed has passed.
+        until every seed has passed.  start_step must be an integer >= 0.
         """
+        _require_count("start_step", start_step, 0)
         depth = self.cfg.depth
         if len(q_seed) != depth + 1:
             raise ValidationError(
@@ -515,13 +516,11 @@ class DelayPropagator:
         try:
             if self.mode == "constrained":
                 if solved is None:
-                    m_red, b_ell = assemble_constrained_system(m, self.basis, self.spec,
-                                                               q_hist, out=self._m_red)
-                    a, rhs = real_half_system(m_red, b_ell, self.k_orb, out=self._a)
+                    a, rhs = assemble_constrained_system(m, self.spec, q_hist, self.k_orb,
+                                                         out=self._a)
                     x_red, residual, _, _, solved = solve_constrained(a, rhs, self.cfg.r_tol)
                 else:
-                    rhs = real_half_rhs(constrained_rhs(m, self.basis, self.spec, q_hist),
-                                        self.k_orb)
+                    rhs = constrained_rhs(m, self.spec, q_hist, self.k_orb)
                     x_red = solved.solve(rhs)
                     residual = solved.residual(x_red, rhs)
                 x = self.spec.reconstruct(x_red, self.basis)

@@ -95,8 +95,8 @@ def pinv_thresholded(m, r_tol: float) -> PinvResult:
     """
     m = np.asarray(m)
     m = _require_matrix(m.astype(complex if np.iscomplexobj(m) else float, copy=False), "m")
-    if r_tol < 0:
-        raise ValidationError(f"r_tol must be nonnegative, got {r_tol}")
+    if not 0 <= r_tol < math.inf:  # a NaN fails both comparisons
+        raise ValidationError(f"r_tol must be finite and >= 0, got {r_tol}")
     if not np.any(m):
         raise ValidationError("m must be nonzero")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -205,8 +205,8 @@ def normal_equations_factor(a: np.ndarray, r_tol: float) -> LeastSquaresFactor |
     A non-finite entry of a raises `NumericalError`: it shows as a
     non-finite diagonal of N, which is checked before the gate.
     """
-    if r_tol < 0:
-        raise ValidationError(f"r_tol must be nonnegative, got {r_tol}")
+    if not 0 <= r_tol < math.inf:  # a NaN fails both comparisons
+        raise ValidationError(f"r_tol must be finite and >= 0, got {r_tol}")
     cond_max = COND_MAX if r_tol >= TIGHT_R_TOL else COND_MAX_TIGHT
     if r_tol * cond_max > THRESHOLD_MARGIN:
         cond_max = THRESHOLD_MARGIN / r_tol

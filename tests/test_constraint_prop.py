@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rdmdelay.ci_model import FieldProfile, build_B
 from rdmdelay.constraint_prop import (
@@ -93,19 +95,18 @@ def test_basis_matrix_scatter_equals_dense_product(n):
 
 
 def test_constraint_spec_column_counts():
-    basis2 = HermitianBasis(2)
+    # eight blocks of hermitian_half(1): one real row each
     m = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-    m_red, _ = assemble_constrained_system(m, basis2, ConstraintSpec(2), np.zeros(8))
-    assert m_red.shape == (8, 3)
+    a, b = assemble_constrained_system(m, ConstraintSpec(2), np.zeros(8), 1)
+    assert a.shape == (8, 3) and b.shape == (8,)
 
     # row/column 2 of P forced to zero: 1 diagonal + 3 complex off-diagonal
     # pairs = 7 removed real coordinates
-    basis4 = HermitianBasis(4)
     zeros = frozenset({(1, j) for j in range(4)})
     spec = ConstraintSpec(4, zero_pairs=zeros)
     m16 = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
-    m_red, _ = assemble_constrained_system(m16, basis4, spec, np.zeros(8))
-    assert m_red.shape == (8, 16 - 1 - 7)
+    a, _ = assemble_constrained_system(m16, spec, np.zeros(8), 1)
+    assert a.shape == (8, 16 - 1 - 7)
 
 
 def test_reconstruct_consistent_data_exactly():
@@ -128,10 +129,15 @@ def test_reconstruct_consistent_data_exactly():
         assert np.array_equal(basis.matrix(x_back), p)
 
 
-def _stacked(m_red, b_ell):
-    """The real system of the real and imaginary parts of every row of a
-    complex M'' x = b_ell, which `solve_constrained` takes."""
-    return np.vstack([m_red.real, m_red.imag]), np.concatenate([b_ell.real, b_ell.imag])
+def _real_half(m_red, b_ell, k):
+    """Reference real half system of a complex M'' x = b_ell on blocks of
+    K(K+1)/2 rows: per block, the real parts of every row, then the
+    imaginary parts of the rows below the K diagonal ones."""
+    h, cols = k * (k + 1) // 2, m_red.shape[1]
+    blocks, rhs = m_red.reshape(len(m_red) // h, h, cols), b_ell.reshape(-1, h)
+    return (np.concatenate([blocks.real, blocks[:, k:].imag], axis=1).reshape(
+                len(blocks) * k * k, cols),
+            np.concatenate([rhs.real, rhs[:, k:].imag], axis=1).ravel())
 
 
 def test_constrained_solve_recovers_planted_p():
@@ -141,8 +147,11 @@ def test_constrained_solve_recovers_planted_p():
     p += np.eye(3) * (1.0 - np.trace(p).real) / 3.0
     m = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
     q_hist = m @ flatten(p)
-    m_red, b_ell = assemble_constrained_system(m, basis, spec, q_hist)
-    x, residual, rank, cond, _ = solve_constrained(*_stacked(m_red, b_ell), 1e-12)
+    # four blocks of hermitian_half(2) rows: the consistent system keeps P
+    # as its solution in every real row
+    a, b_ell = assemble_constrained_system(m, spec, q_hist, 2)
+    assert a.shape == (16, 8)
+    x, residual, rank, cond, _ = solve_constrained(a, b_ell, 1e-12)
     p_hat = basis.matrix(spec.reconstruct(x, basis))
     assert np.max(np.abs(p_hat - p)) < 1e-10
     assert np.max(np.abs(p_hat - p_hat.conj().T)) == 0.0
@@ -161,8 +170,8 @@ def test_pivot_moves_past_declared_zero_diagonal():
     p[:, 2] = 0.0
     p[0, 0] += 1.0 - np.trace(p).real
     m = rng.standard_normal((10, 9)) + 1j * rng.standard_normal((10, 9))
-    m_red, b_ell = assemble_constrained_system(m, basis, spec, m @ flatten(p))
-    x = solve_constrained(*_stacked(m_red, b_ell), 1e-12).x
+    x = solve_constrained(*assemble_constrained_system(m, spec, m @ flatten(p), 1),
+                          1e-12).x
     p_hat = basis.matrix(spec.reconstruct(x, basis))
     assert np.max(np.abs(p_hat - p)) < 1e-10
 
@@ -191,7 +200,8 @@ def _reconstruct_from_list(spec, x_reduced, basis):
 
 
 def _assemble_dense(m, basis, spec, q_hist):
-    """Reference assembly: the dense product M S~, then a loop over columns."""
+    """Reference assembly: the dense product M S~, then a loop over columns.
+    Returns the complex M'' and b_ell."""
     ms = m @ _dense_s_tilde(basis.n_c)
     pivot_col = ms[:, spec.pivot].copy()
     cols = [ms[:, j] - pivot_col if j < spec.n_c else ms[:, j]
@@ -211,12 +221,12 @@ def test_gathered_assembly_matches_dense_product(zeros):
     basis = HermitianBasis(n)
     m = rng.standard_normal((24, n * n)) + 1j * rng.standard_normal((24, n * n))
     q_hist = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-    m_red, b_ell = assemble_constrained_system(m, basis, spec, q_hist)
-    m_ref, b_ref = _assemble_dense(m, basis, spec, q_hist)
+    a, b_ell = assemble_constrained_system(m, spec, q_hist, 2)
+    a_ref, b_ref = _real_half(*_assemble_dense(m, basis, spec, q_hist), 2)
     # S~ holds only 0, 1 and +-1j, so both assemblies round alike
-    assert np.array_equal(m_red, m_ref)
+    assert np.array_equal(a, a_ref)
     assert np.array_equal(b_ell, b_ref)
-    x = solve_constrained(*_stacked(m_red, b_ell), 1e-12).x
+    x = solve_constrained(a, b_ell, 1e-12).x
     x_full = spec.reconstruct(x, basis)
     assert np.array_equal(x_full, _reconstruct_from_list(spec, x, basis))
     # the spec builds its plan once; the plan is read-only
@@ -230,16 +240,104 @@ def test_gathered_assembly_matches_dense_product(zeros):
 
 
 def test_basis_of_another_size_is_rejected():
-    # ConstraintSpec(3) with HermitianBasis(4) would otherwise assemble a
-    # 15-column system around pivot coordinate 2
+    # ConstraintSpec(3) with HermitianBasis(4) would otherwise reconstruct a
+    # 16-coordinate P around pivot coordinate 2
     spec, basis = ConstraintSpec(3), HermitianBasis(4)
     m = rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16))
     with pytest.raises(ValidationError, match="n_c = 4.*n_c = 3"):
         spec.kept_coords(basis)
     with pytest.raises(ValidationError, match="n_c = 4.*n_c = 3"):
         spec.reconstruct(np.zeros(8), basis)
-    with pytest.raises(ValidationError, match="n_c = 4.*n_c = 3"):
-        assemble_constrained_system(m, basis, spec, np.zeros(8))
+    # the assembly takes its positions from the spec, and M must match it
+    with pytest.raises(ValidationError, match="M has 16 columns, expected 9"):
+        assemble_constrained_system(m, spec, np.zeros(8), 1)
+
+
+def test_assembly_rejects_rows_that_are_not_whole_blocks():
+    spec = ConstraintSpec(2)
+    m = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+    for k, h in ((2, 3), (0, 0), (-1, 0)):
+        with pytest.raises(ValidationError, match=rf"8 rows, not whole blocks of .* = {h} rows"):
+            assemble_constrained_system(m, spec, np.zeros(8), k)
+    with pytest.raises(ValidationError, match="q_hist has length 6, expected 8"):
+        assemble_constrained_system(m, spec, np.zeros(6), 1)
+
+
+@st.composite
+def _assembly_cases(draw):
+    """N_C, K, a number of blocks, a seed and declared zero pairs that leave
+    a diagonal entry free; the zero pairs may move the pivot."""
+    n = draw(st.integers(2, 5))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    zeros = draw(st.frozensets(pair, max_size=n).filter(
+        lambda z: sum(i == j for i, j in z) < n))
+    return (n, draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+            draw(st.integers(0, 2**32 - 1)), zeros)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_assembly_cases(), trace=st.sampled_from([1.0, 2.0, -0.5]))
+@example(case=(4, 2, 3, 7, frozenset({(3, 3), (2, 3)})), trace=1.0)  # the pivot moves
+def test_assembly_equals_the_real_half_of_the_dense_product(case, trace):
+    n, k, blocks, seed, zeros = case
+    local = np.random.default_rng(seed)
+    rows = blocks * k * (k + 1) // 2
+    m = local.standard_normal((rows, n * n)) + 1j * local.standard_normal((rows, n * n))
+    q_hist = local.standard_normal(rows) + 1j * local.standard_normal(rows)
+    spec = ConstraintSpec(n, trace, zeros)
+    a, b = assemble_constrained_system(m, spec, q_hist, k)
+    a_ref, b_ref = _real_half(*_assemble_dense(m, HermitianBasis(n), spec, q_hist), k)
+    assert a.dtype == b.dtype == np.float64 and a.shape == a_ref.shape
+    assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+    # into a given array, every entry overwritten, with the same bits
+    buf = np.full(a.shape, np.nan)
+    a_out, b_out = assemble_constrained_system(m, spec, q_hist, k, out=buf)
+    assert a_out is buf
+    assert a_out.tobytes() == a.tobytes() and b_out.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("trace", [np.nan, np.inf, -np.inf, "x", 1j, True, None])
+def test_constraint_spec_rejects_a_trace_that_is_not_a_finite_real(trace):
+    with pytest.raises(ValidationError, match="trace_value must be a finite real"):
+        ConstraintSpec(4, trace_value=trace)
+
+
+def test_constraint_spec_takes_an_integer_or_numpy_trace():
+    assert ConstraintSpec(4, trace_value=2).trace_value == 2
+    assert ConstraintSpec(4, trace_value=np.float64(0.5)).trace_value == 0.5
+
+
+@pytest.mark.parametrize("spec", [
+    ConstraintSpec(4, zero_pairs=frozenset({(0, 3)})),
+    ConstraintSpec(4, trace_value=2.0),
+], ids=["declared-zero", "trace-2"])
+def test_raw_mode_rejects_a_constraint_it_cannot_impose(spec):
+    # the raw solve is over all of vec(P): it would ignore both without a word
+    s = generate_synthetic_system(4, 2, seed=3)
+    with pytest.raises(ValidationError, match="raw mode"):
+        DelayPropagator(s, build_B(s), DelayConfig(ell=4), 0.08268, mode="raw", spec=spec)
+
+
+def test_raw_mode_takes_the_default_spec():
+    s = generate_synthetic_system(4, 2, seed=3)
+    for spec in (None, ConstraintSpec(4), ConstraintSpec(4, 1, frozenset())):
+        prop = DelayPropagator(s, build_B(s), DelayConfig(ell=4), 0.08268, mode="raw",
+                               spec=spec)
+        assert prop.spec == ConstraintSpec(4)
+
+
+@pytest.mark.parametrize("start_step", [2.5, -7, True, "3", None])
+def test_warm_start_takes_only_a_nonnegative_integer_step(start_step):
+    s = generate_synthetic_system(4, 2, seed=3)
+    b, cfg, dt = build_B(s), DelayConfig(ell=4), 0.08268
+    q_true = reduced_density_series(propagate_coefficients(s, dt, cfg.depth), b)
+    prop = DelayPropagator(s, b, cfg, dt)
+    with pytest.raises(ValidationError, match="start_step must be an integer >= 0"):
+        prop.warm_start(list(q_true), start_step=start_step)
+    with pytest.raises(ValidationError, match="not warm-started"):
+        prop.step()
+    prop.warm_start(list(q_true), start_step=np.int64(3))
+    assert prop._step_index == 3 + cfg.depth
 
 
 def test_step_record_csv_row_round_trip():

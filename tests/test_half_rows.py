@@ -23,7 +23,6 @@ from rdmdelay.constraint_prop import (
     HermitianBasis,
     assemble_constrained_system,
     hermitian_half,
-    real_half_system,
 )
 from rdmdelay.delay_core import DelayConfig, factor_least_squares
 from rdmdelay.ground_truth import (
@@ -38,6 +37,17 @@ from rdmdelay.numkit import (
     flatten,
     random_hermitian,
 )
+
+
+def _dense_reduced(m, basis, spec, q_hist):
+    """The complex system M'' x = b_ell of the free coordinates from the
+    dense product M S~, with S~'s column j the vec of `basis.matrix(e_j)`."""
+    s_tilde = np.column_stack([flatten(basis.matrix(e)) for e in np.eye(basis.dim)])
+    ms = m @ s_tilde
+    pivot_col = ms[:, spec.pivot].copy()
+    kept = spec.kept_coords(basis)
+    ms[:, :spec.n_c] -= pivot_col[:, None]
+    return ms[:, kept], q_hist - spec.trace_value * pivot_col
 
 
 def _stacked_solve(m_red, b_ell, r_tol):
@@ -74,7 +84,7 @@ def _full_row_run(system, b, cfg, dt, q_seed, n_delay, spec):
         blocks = np.matmul(c[:, None], b_c.reshape(-1, k2, n, n)).reshape(-1, n * n)
         m_full = np.vstack([b_tilde, blocks])
         q_hist = np.concatenate(hist[::-1][::cfg.stride][:cfg.ell + 1])
-        m_red, b_ell = assemble_constrained_system(m_full, basis, spec, q_hist)
+        m_red, b_ell = _dense_reduced(m_full, basis, spec, q_hist)
         x, residual, rank, cond = _stacked_solve(m_red, b_ell, cfg.r_tol)
         p_hat = basis.matrix(spec.reconstruct(x, basis))
         e = step_unitary(system, s * dt, dt)
@@ -190,14 +200,14 @@ def test_half_system_has_the_normal_equations_of_the_full_system(case, zero):
         blocks.append(block)
         q_hist.append(flatten(random_hermitian(k, local)))
     m_full, q_full = np.vstack(blocks), np.concatenate(q_hist)
-    m_red, b_ell = assemble_constrained_system(m_full, basis, spec, q_full)
+    m_red, b_ell = _dense_reduced(m_full, basis, spec, q_full)
     a_full = np.vstack([m_red.real, m_red.imag])
     b_full = np.concatenate([b_ell.real, b_ell.imag])
 
     rows, weights = hermitian_half(k)
     m_half = np.vstack([weights[:, None] * blk[rows] for blk in blocks])
     q_half = np.concatenate([weights * q[rows] for q in q_hist])
-    a, rhs = real_half_system(*assemble_constrained_system(m_half, basis, spec, q_half), k)
+    a, rhs = assemble_constrained_system(m_half, spec, q_half, k)
     assert a.shape == (n_blocks * k * k, m_red.shape[1]) and a.dtype == np.float64
 
     gram, gram_full = a.T @ a, a_full.T @ a_full
@@ -214,25 +224,23 @@ def test_hermitian_half_rows_come_from_the_basis():
     assert weights.tolist() == [1.0, 1.0, 1.0] + [np.sqrt(2.0)] * 3
     # the real rows of one block are the weighted real coordinates of Q
     q = random_hermitian(3, np.random.default_rng(1))
-    _, rhs = real_half_system(np.zeros((6, 1), dtype=complex), weights * flatten(q)[rows], 3)
+    _, rhs = assemble_constrained_system(np.zeros((6, 4)), ConstraintSpec(2),
+                                         weights * flatten(q)[rows], 3)
     coords = HermitianBasis(3).coords(q)
     assert np.array_equal(rhs, np.concatenate([coords[:3], np.sqrt(2.0) * coords[3:]]))
 
 
 def test_assembly_into_given_buffers_matches_fresh_arrays():
-    # the propagator assembles every step into the same two buffers
+    # the propagator assembles every step into the same buffer
     local = np.random.default_rng(3)
-    basis, spec, k = HermitianBasis(4), ConstraintSpec(4), 2
+    spec, k = ConstraintSpec(4), 2
     rows = 5 * 3  # five blocks of hermitian_half(2) rows
     m = local.standard_normal((rows, 16)) + 1j * local.standard_normal((rows, 16))
     q = local.standard_normal(rows) + 1j * local.standard_normal(rows)
-    m_red, b_ell = assemble_constrained_system(m, basis, spec, q)
-    a, rhs = real_half_system(m_red, b_ell, k)
-    m_buf, a_buf = np.empty((rows, 15), dtype=complex), np.empty((5 * 4, 15))
-    m_out, b_out = assemble_constrained_system(m, basis, spec, q, out=m_buf)
-    a_out, rhs_out = real_half_system(m_out, b_out, k, out=a_buf)
-    assert np.shares_memory(m_out, m_buf) and np.shares_memory(a_out, a_buf)
-    assert np.array_equal(m_out, m_red) and np.array_equal(b_out, b_ell)
+    a, rhs = assemble_constrained_system(m, spec, q, k)
+    a_buf = np.empty((5 * 4, 15))
+    a_out, rhs_out = assemble_constrained_system(m, spec, q, k, out=a_buf)
+    assert np.shares_memory(a_out, a_buf) and a.flags.c_contiguous
     assert np.array_equal(a_out, a) and np.array_equal(rhs_out, rhs)
 
 

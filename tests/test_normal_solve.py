@@ -169,10 +169,10 @@ def test_negative_tolerance_rejected():
 
 
 def test_complex_system_rejected():
-    # the solve is real by design; a complex M'' goes through real_half_system
+    # the solve is real by design; assemble_constrained_system builds its system
     a, b = _planted(10, _cond_sv(4, 2.0), seed=1)
     for m_red, b_ell in ((a + 0j, b), (a, b + 0j)):
-        with pytest.raises(ValidationError, match="real_half_system"):
+        with pytest.raises(ValidationError, match="assemble_constrained_system"):
             solve_constrained(m_red, b_ell, 1e-12)
 
 

@@ -4,11 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdmdelay.ci_model import build_B
-from rdmdelay.constraint_prop import (
-    DelayPropagator,
-    assemble_constrained_system,
-    real_half_system,
-)
+from rdmdelay.constraint_prop import DelayPropagator, assemble_constrained_system
 from rdmdelay.delay_core import DelayConfig
 from rdmdelay.ground_truth import propagate_coefficients, reduced_density_series
 from rdmdelay.harness import generate_synthetic_system
@@ -17,6 +13,7 @@ from rdmdelay.numkit import (
     flatten,
     hermiticity_defect,
     matexp_hermitian,
+    normal_equations_factor,
     pinv_thresholded,
     random_hermitian,
     random_unitary,
@@ -163,9 +160,8 @@ def _real_case(name):
     q_true = reduced_density_series(propagate_coefficients(s, dt, cfg.depth), b)
     prop = DelayPropagator(s, b, cfg, dt)
     prop.warm_start(list(q_true))
-    m_red, b_ell = assemble_constrained_system(
-        prop._memory_matrix(), prop.basis, prop.spec, prop._stacked_history())
-    a, rhs = real_half_system(m_red, b_ell, 4)
+    a, rhs = assemble_constrained_system(prop._memory_matrix(), prop.spec,
+                                         prop._stacked_history(), 4)
     return a, rhs, cfg.r_tol, 255
 
 
@@ -201,6 +197,15 @@ def test_pinv_complex_input_bitwise_equal_to_reference(shape, r_tol, rank):
 def test_pinv_negative_tolerance_rejected():
     with pytest.raises(ValidationError):
         pinv_thresholded(np.eye(2), -1.0)
+
+
+@pytest.mark.parametrize("r_tol", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("solver", [pinv_thresholded, normal_equations_factor])
+def test_tolerance_must_be_finite_and_nonnegative(solver, r_tol):
+    # a NaN passes any one-sided comparison: the Cholesky gate would accept
+    # every system and the pseudoinverse would keep no singular value
+    with pytest.raises(ValidationError, match="r_tol must be finite and >= 0"):
+        solver(np.eye(3), r_tol)
 
 
 def test_flatten_column_major():

@@ -17,7 +17,6 @@ from rdmdelay.ci_model import FieldProfile, build_B
 from rdmdelay.constraint_prop import (
     DelayPropagator,
     assemble_constrained_system,
-    real_half_system,
     run_delay_propagation,
     solve_constrained,
 )
@@ -78,9 +77,8 @@ def _fresh_solve(prop):
     m = prop._memory_matrix()
     q_hist = prop._stacked_history()
     if prop.mode == "constrained":
-        m_red, b_ell = assemble_constrained_system(m, prop.basis, prop.spec, q_hist,
-                                                   out=np.empty_like(prop._m_red))
-        a, rhs = real_half_system(m_red, b_ell, prop.k_orb, out=np.empty_like(prop._a))
+        a, rhs = assemble_constrained_system(m, prop.spec, q_hist, prop.k_orb,
+                                             out=np.empty_like(prop._a))
         x, residual, rank, cond, _ = solve_constrained(a, rhs, prop.cfg.r_tol)
         p_hat = prop.basis.matrix(prop.spec.reconstruct(x, prop.basis))
     else:

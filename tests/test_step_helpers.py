@@ -20,8 +20,6 @@ from rdmdelay.constraint_prop import (
     HermitianBasis,
     assemble_constrained_system,
     constrained_rhs,
-    real_half_rhs,
-    real_half_system,
     solve_constrained,
 )
 from rdmdelay.delay_core import DelayConfig, factor_least_squares
@@ -77,11 +75,16 @@ def test_basis_matrix_matches_the_complex_construction(n):
 
 @pytest.mark.parametrize("k, blocks", [(1, 3), (2, 21), (4, 33)])
 def test_real_half_rhs_matches_the_concatenation(k, blocks):
+    # b_ell = q_hist - trace_value * (M's pivot column), then its real half
     local = np.random.default_rng(k)
     size = blocks * k * (k + 1) // 2
-    for b_ell in (local.standard_normal(size) + 1j * local.standard_normal(size),
-                  _signed_zeros(local, size) - 1j * _signed_zeros(local, size)):
-        assert _same_bits(real_half_rhs(b_ell, k), _real_half_rhs_reference(b_ell, k))
+    spec = ConstraintSpec(3, 2.0, frozenset({(2, 2)}))  # pivot on diagonal 1
+    for q, m in ((local.standard_normal(size) + 1j * local.standard_normal(size),
+                  local.standard_normal((size, 9)) + 1j * local.standard_normal((size, 9))),
+                 (_signed_zeros(local, size) - 1j * _signed_zeros(local, size),
+                  _signed_zeros(local, (size, 9)) + 1j * _signed_zeros(local, (size, 9)))):
+        b_ell = q - spec.trace_value * m[:, 4]
+        assert _same_bits(constrained_rhs(m, spec, q, k), _real_half_rhs_reference(b_ell, k))
 
 
 @pytest.mark.parametrize("size, scale", [(1, 1.0), (84, 1.0), (528, 1e-150), (63, 1e150),
@@ -174,11 +177,9 @@ def test_assembly_without_out_matches_the_propagator():
     prop = DelayPropagator(system, b, cfg, DT_COARSE)
     prop.warm_start(q_true[:cfg.depth + 1])
     m, q_hist = prop._memory_matrix(), prop._stacked_history()
-    m_red, b_ell = assemble_constrained_system(m, prop.basis, prop.spec, q_hist)
-    assert m_red.flags.c_contiguous
-    a, rhs = real_half_system(m_red, b_ell, prop.k_orb)
-    assert _same_bits(rhs, real_half_rhs(constrained_rhs(m, prop.basis, prop.spec, q_hist),
-                                         prop.k_orb))
+    a, rhs = assemble_constrained_system(m, prop.spec, q_hist, prop.k_orb)
+    assert a.flags.c_contiguous
+    assert _same_bits(rhs, constrained_rhs(m, prop.spec, q_hist, prop.k_orb))
     x, residual, rank, cond, _ = solve_constrained(a, rhs, cfg.r_tol)
     p_hat = prop.basis.matrix(prop.spec.reconstruct(x, prop.basis))
     prop.step()

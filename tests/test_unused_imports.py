@@ -1,4 +1,5 @@
-"""No module in src/ imports a name it never uses.
+"""No module in src/ imports a name it never uses, and src/ defines no
+private name that it never uses.
 
 A name counts as used when the module reads it anywhere (also as the base of
 an attribute or inside a string annotation) or lists it in `__all__`.  The only
@@ -6,6 +7,11 @@ exemption is an import line marked ``# noqa: F401``, for a name another
 package looks up on the module; the only such package is the benchmark's
 tracer, so every exempt name must be one that `perfbench/tracing.py`'s
 `WRAPPED` looks up on that module.
+
+A private (``_``-prefixed, not dunder) module-level function, class or
+variable, or a private method, counts as used when some module of src/
+reads it: as a name, or as the attribute of an attribute access.  A
+deletion must take the helpers that only it used along with it.
 """
 
 import ast
@@ -101,3 +107,76 @@ def test_guard_flags_unused_and_honours_noqa():
     assert unused_imports(source) == [("os", 2)]
     assert list(_imported(ast.parse(source), source.splitlines(), exempt=True)) == [
         ("unflatten", 7)]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree: ast.Module):
+    """(name, line) of every private module-level function, class or
+    assigned name, and of every private method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if _private(node.name):
+                yield node.name, node.lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and _private(item.name)):
+                        yield item.name, item.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and _private(sub.id):
+                        yield sub.id, node.lineno
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, bare or as an attribute."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+               and isinstance(n.ctx, ast.Load)})
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    return [(path, name, line) for path, tree in trees.items()
+            for name, line in private_definitions(tree) if name not in read]
+
+
+def test_src_has_no_unused_private_definitions():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert unused_private_definitions(sources) == []
+
+
+def test_guard_flags_unused_private_definitions():
+    sources = {
+        "a.py": (
+            "import functools\n"
+            "_LIMIT = 3\n"
+            "_orphan_table = {}\n"
+            "def _helper(x):\n"
+            "    return x + _LIMIT\n"
+            "@functools.cache\n"
+            "def _positions(k):\n"
+            "    return k\n"
+            "class Engine:\n"
+            "    def __init__(self):\n"
+            "        self._cache = None\n"
+            "    def _used(self):\n"
+            "        return _helper(1)\n"
+            "    def _unused(self):\n"
+            "        return 0\n"
+            "    def run(self):\n"
+            "        return self._used()\n"
+        ),
+        "b.py": "from a import _positions\n",
+    }
+    # an import binds a name without reading it, and an assignment to an
+    # attribute is not a read
+    assert unused_private_definitions(sources) == [
+        ("a.py", "_orphan_table", 3), ("a.py", "_positions", 7), ("a.py", "_unused", 14)]
