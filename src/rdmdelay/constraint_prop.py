@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .ci_model import BTensor, CiSystem
-from .delay_core import DelayConfig, _require_count, factor_least_squares
+from .delay_core import DelayConfig, factor_least_squares
 from .ground_truth import step_unitaries, step_unitary
 from .numkit import (
     LeastSquaresFactor,
@@ -32,6 +32,7 @@ from .numkit import (
     hermiticity_defect,
     matexp_hermitian,  # noqa: F401  kept only for perfbench/tracing.py, which wraps it
     pinv_thresholded,  # noqa: F401  kept only for perfbench/tracing.py, which wraps it
+    require_count,
     require_hermitian,
 )
 
@@ -310,18 +311,18 @@ class DelayPropagator:
     The reduced densities live in one array, newest row first, so the
     stacked history is its rows 0, stride, 2*stride, ...
 
-    A step reuses the previous step's solve while M is bitwise unchanged.
-    The memory state (the stack at stride 1, the products C_m at stride > 1)
-    moves on by a deterministic function of the state and E.  `step_unitary`
-    returns one cached read-only array per field value, so past the field
-    cutoff every step applies the same E.  On a step whose E is the
-    previous step's, the state is compared bitwise before and after its
-    update; if it came out unchanged, it stays unchanged for as long as E
-    repeats, and so does M.  Those steps keep the factored real system (or
-    the pseudoinverse) and apply it to the new right-hand side, skipping
-    the state update, the assembly and the factorization, with the same
-    result bit for bit.  Nothing is kept on a step whose E differs from the
-    previous step's.
+    A step reuses the previous step's solve once M has stopped changing.
+    M(t) is built from the last depth = ell * stride step unitaries alone,
+    and `step_unitary` returns one cached read-only array per field value,
+    so past the field cutoff every step applies the same E.  `_run` counts
+    the consecutive steps since the last `warm_start` that applied the same
+    array.  Once it exceeds depth, the memory state (the stack at stride 1,
+    the products C_m at stride > 1) has had depth updates by that E alone,
+    each a deterministic function of the state and E: one more would leave M
+    bitwise as it is.  Such a step keeps its factor (Cholesky or
+    pseudoinverse) and skips the update; the next steps apply the factor to
+    the new right-hand side, with the result of a fresh solve bit for bit.
+    At ell 0 M is the rows of B~ alone, so a run factors once.
 
     The raw mode keeps all K^2 complex rows of every block and every Q and
     solves for all of vec(P), so it takes only the default spec.  The
@@ -382,9 +383,11 @@ class DelayPropagator:
             n_free = len(self.spec.kept_coords(self.basis))
             self._a = np.empty(((cfg.ell + 1) * k2, n_free))
         # the factored system of the last solve while M is bitwise its M
-        # (else None), and the step unitary the last step applied
+        # (else None), the step unitary the last step applied, and the count
+        # of consecutive steps since the warm start that applied it
         self._solved: LeastSquaresFactor | None = None
         self._last_e = None
+        self._run = 0
         self._step_index = None
         self.records: list[StepRecord] = []
 
@@ -407,7 +410,7 @@ class DelayPropagator:
         only its diagonal and upper triangle are kept; nothing is written
         until every seed has passed.  start_step must be an integer >= 0.
         """
-        _require_count("start_step", start_step, 0)
+        require_count("start_step", start_step, 0)
         depth = self.cfg.depth
         if len(q_seed) != depth + 1:
             raise ValidationError(
@@ -432,6 +435,7 @@ class DelayPropagator:
             acc = np.matmul(acc, e, out=c_m)
         self._stack_current = False
         self._solved = self._last_e = None
+        self._run = 0
         self._step_index = start_step + depth
 
     # -- stepping ---------------------------------------------------------
@@ -441,7 +445,7 @@ class DelayPropagator:
 
         Builds the stack from the products C_j unless it is already current:
         at stride 1 after the first step past a warm start, and at stride > 1
-        while the products are unchanged (`_advance_memory`).
+        until `_advance_memory` next updates the products.
         """
         n, h = self.n_c, len(self._rows)
         if not self._stack_current:
@@ -451,47 +455,29 @@ class DelayPropagator:
                 b_c = np.matmul(self._memory[0].reshape(h * n, n),
                                 c.conj().transpose(0, 2, 1), out=self._work)
                 np.matmul(c[:, None], b_c.reshape(-1, h, n, n), out=self._memory[1:])
-            self._stack_current = self.cfg.stride == 1
+            self._stack_current = True
         return self._memory.reshape(-1, n * n)
 
-    def _slide_stack(self, e: np.ndarray):
-        """Stride 1: X_{j+1} <- E X_j E^dagger for j < ell; X_0 stays B~.
-
-        Two GEMMs over all blocks at once.  E^dagger acts on the contiguous
-        last index.  For E on the first index the rows of every block are
-        moved outermost, multiplied and moved back; blocks 1..ell, whose old
-        values are no longer needed once X_j E^dagger is in `_work`, hold
-        the moved rows.
-        """
+    def _advance_memory(self, e: np.ndarray):
+        """Carry the memory state from t to t + dt with E = e.  At stride 1
+        the stack slides, X_{j+1} <- E X_j E^dagger for j < ell (X_0 stays
+        B~), by two GEMMs over all blocks: E^dagger acts on the contiguous
+        last index; for E the rows of every block are moved outermost into
+        blocks 1..ell (free once X_j E^dagger is in `_work`), multiplied and
+        moved back.  At stride > 1 the products C_m are extended, and the
+        stack is rebuilt from them.  An overflow shows as a non-finite M."""
         n, tail, work = self.n_c, self._memory[1:], self._work
-        np.matmul(self._memory[:-1].reshape(-1, n), e.conj().T, out=work.reshape(-1, n))
-        np.copyto(tail.reshape(n, -1, n), work.reshape(-1, n, n).transpose(1, 0, 2))
-        np.matmul(e, tail.reshape(n, -1), out=work.reshape(n, -1))
-        np.copyto(tail.reshape(-1, n, n), work.reshape(n, -1, n).transpose(1, 0, 2))
-
-    def _advance_memory(self, e: np.ndarray, compare: bool) -> bool:
-        """Carry the memory state from t to t + dt with E = e: slide the stack
-        at stride 1, extend the products C_m at stride > 1.
-
-        With `compare`, returns whether the state came out bitwise equal to
-        what it was, which takes one copy of it; otherwise returns False.
-        An overflow is left to show as a non-finite M at the next solve.
-        """
-        stride1 = self.cfg.stride == 1
-        state = self._memory[1:] if stride1 else self._cprods
-        before = state.copy() if compare else None
         with np.errstate(over="ignore", invalid="ignore"):
-            if stride1:
-                self._slide_stack(e)
-            elif self.cfg.depth > 0:
+            if self.cfg.stride == 1:
+                np.matmul(self._memory[:-1].reshape(-1, n), e.conj().T, out=work.reshape(-1, n))
+                np.copyto(tail.reshape(n, -1, n), work.reshape(-1, n, n).transpose(1, 0, 2))
+                np.matmul(e, tail.reshape(n, -1), out=work.reshape(n, -1))
+                np.copyto(tail.reshape(-1, n, n), work.reshape(n, -1, n).transpose(1, 0, 2))
+            else:
                 # C_{m+1} = E C_m; numpy buffers the overlapping input
                 np.matmul(e, self._cprods[:-1], out=self._cprods[1:])
                 self._cprods[0] = e
-        unchanged = compare and np.array_equal(state, before)
-        if not stride1:
-            # the stack built from unchanged products is still M
-            self._stack_current = unchanged
-        return unchanged
+                self._stack_current = False
 
     def _stacked_history(self) -> np.ndarray:
         """The kept rows of vec Q(t), vec Q(t - stride dt), ...,
@@ -540,15 +526,15 @@ class DelayPropagator:
         q_next_vec = self.b_tilde @ p_next.ravel(order="F")
         q_next = q_next_vec.reshape((self.k_orb, self.k_orb), order="F")
         rank, cond = solved.effective_rank, solved.condition_number
-        # advance history; a state that a repeated E left unchanged stays so
-        repeat = e is self._last_e
+        # advance history; past depth + 1 steps of one E, M stays as it is
+        self._run = self._run + 1 if e is self._last_e else 1
         self._last_e = e
-        if not repeat:
-            # nothing is kept: the factor is freed before the update allocates
-            # its temporaries
+        if self._run > self.cfg.depth:
+            self._solved = solved
+        else:
+            # the factor is freed before the update allocates its temporaries
             solved = self._solved = None
-        if self._solved is None:
-            self._solved = solved if self._advance_memory(e, compare=repeat) else None
+            self._advance_memory(e)
         self._q_hist[1:] = self._q_hist[:-1]
         self._kept(q_next_vec, out=self._q_hist[0])
         self._step_index += 1

@@ -11,7 +11,6 @@ the same partially observed setting is provided for comparison.
 from __future__ import annotations
 
 import cmath
-import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -26,6 +25,8 @@ from .numkit import (
     as_complex_matrix,
     normal_equations_factor,
     pinv_thresholded,
+    require_count,
+    require_tolerance,
 )
 
 
@@ -51,12 +52,6 @@ class ReductionMap:
         return self.matrix.shape[1]
 
 
-def _require_count(name: str, v, low: int):
-    """Raise `ValidationError` unless v is an int or numpy integer >= low, not a bool."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
-
-
 @dataclass(frozen=True)
 class DelayConfig:
     """Memory depth ell, stride k, and pseudoinverse relative tolerance."""
@@ -66,11 +61,9 @@ class DelayConfig:
     r_tol: float = 1e-12
 
     def __post_init__(self):
-        _require_count("ell", self.ell, 0)
-        _require_count("stride", self.stride, 1)
-        # a NaN fails both comparisons
-        if not 0 <= self.r_tol < math.inf:
-            raise ValidationError(f"r_tol must be finite and >= 0, got {self.r_tol}")
+        require_count("ell", self.ell, 0)
+        require_count("stride", self.stride, 1)
+        require_tolerance(self.r_tol)
 
     @property
     def depth(self) -> int:
@@ -125,7 +118,7 @@ class HistoryBuffer:
     memory: KeptMemory | None = field(init=False, default=None)
 
     def __post_init__(self):
-        _require_count("depth", self.depth, 0)
+        require_count("depth", self.depth, 0)
         self.depth = int(self.depth)  # deque takes no numpy integer
         self.propagators = deque(maxlen=max(self.depth, 1))
         self.reduced = deque(maxlen=self.depth + 1)
@@ -158,9 +151,15 @@ class HistoryBuffer:
         )
 
 
-def _back_step(a: np.ndarray, unitary: bool) -> np.ndarray:
-    """A(t)^dagger for unitary systems, A(t)^-1 otherwise."""
+def _back_step(a: np.ndarray, unitary: bool, checked=None) -> np.ndarray:
+    """A(t)^dagger for unitary systems, A(t)^-1 otherwise.  A unitary A must
+    pass ||A^dagger A - I||_F <= 1e-10 n, `CiSystem`'s bound for C, unless
+    it is the array `checked`, which has passed."""
     if unitary:
+        defect = 0.0 if a is checked else np.linalg.norm(a.conj().T @ a - np.eye(len(a)))
+        if not defect <= 1e-10 * len(a):  # a NaN defect raises too
+            raise NumericalError(f"propagator is not unitary: ||A^dagger A - I||_F = "
+                                 f"{defect:.3e} exceeds {1e-10 * len(a):.1e}")
         return a.conj().T
     cond = np.linalg.cond(a)
     if not np.isfinite(cond) or cond > 1e12:
@@ -185,7 +184,8 @@ def build_M(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig,
     back = np.eye(r.n, dtype=complex)
     props = list(history.propagators)
     for m in range(1, need + 1):
-        back = _back_step(props[-m], unitary) @ back
+        # a window of one repeated array checks its unitarity once
+        back = _back_step(props[-m], unitary, props[1 - m] if m > 1 else None) @ back
         if m % cfg.stride == 0:
             blocks.append(r.matrix @ back)
     return np.vstack(blocks)
@@ -232,7 +232,8 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
     thresholded pseudoinverse still yields a least-squares reconstruction.
     A failed SVD, or a non-finite z_hat or y(t+1), raises `NumericalError`
     naming the step and the stage (solve or propagation) where it appeared,
-    and an ill-conditioned back-step names the memory-matrix stage.  The
+    and an ill-conditioned back-step, or with `unitary` a propagator that is
+    not unitary (`_back_step`), names the memory-matrix stage.  The
     step is numbered history.pushes + 1, the step that makes y(t+1) from a
     history of y(0)..y(t), as `DelayPropagator.step` numbers its steps.  An
     a_t, or a history, whose shapes do not match r raises `ValidationError`.
@@ -312,7 +313,7 @@ def mori_zwanzig_propagate(a, r: ReductionMap, y0, ytilde0, steps: int,
                            truncate_memory_half: bool = False):
     """Memory-summed propagation of the observed block of a completed basis.
 
-    Conjugates the constant unitary a by [R; Rtilde] and iterates
+    Conjugates the constant propagator a by [R; Rtilde] and iterates
 
         y(t+1) = B11 y(t) + sum_s B12 B22^s B21 y(t-1-s) + B12 B22^t ytilde(0).
 
@@ -321,7 +322,8 @@ def mori_zwanzig_propagate(a, r: ReductionMap, y0, ytilde0, steps: int,
     1e3 ||y(0)||.  With ``truncate_memory_half`` only the most recent half of
     the memory terms is summed (used to demonstrate that truncation is not
     benign).  A y(t) that overflows raises `NumericalError` naming the first
-    such step t.
+    such step t.  The block recurrence is exact for any square a, unitary or
+    not, so a is not checked for unitarity.
 
     Before the time loop, one (m, steps+1, m) stack holds B11 and then every
     kernel B12 B22^s B21.  The powers W_s = B12 B22^s are built
@@ -338,7 +340,7 @@ def mori_zwanzig_propagate(a, r: ReductionMap, y0, ytilde0, steps: int,
     a = as_complex_matrix(a, "a")
     if a.shape != (r.n, r.n):
         raise ValidationError(f"a has shape {a.shape}, expected {(r.n, r.n)}")
-    _require_count("steps", steps, 0)
+    require_count("steps", steps, 0)
     y0 = np.asarray(y0, dtype=complex).ravel()
     ytilde0 = np.asarray(ytilde0, dtype=complex).ravel()
     for name, v, size in (("y0", y0, r.m), ("ytilde0", ytilde0, r.n - r.m)):

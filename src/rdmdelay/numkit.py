@@ -39,6 +39,18 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return _require_matrix(np.asarray(a, dtype=complex), name)
 
 
+def require_count(name: str, v, low: int):
+    """Raise `ValidationError` unless v is an int or numpy integer >= low, not a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {v!r}")
+
+
+def require_tolerance(r_tol):
+    """Raise `ValidationError` unless the relative tolerance r_tol is finite and >= 0."""
+    if not 0 <= r_tol < math.inf:  # a NaN fails both comparisons
+        raise ValidationError(f"r_tol must be finite and >= 0, got {r_tol}")
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
     """max |A - A^dagger|, the absolute deviation from Hermitian symmetry."""
     return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
@@ -95,8 +107,7 @@ def pinv_thresholded(m, r_tol: float) -> PinvResult:
     """
     m = np.asarray(m)
     m = _require_matrix(m.astype(complex if np.iscomplexobj(m) else float, copy=False), "m")
-    if not 0 <= r_tol < math.inf:  # a NaN fails both comparisons
-        raise ValidationError(f"r_tol must be finite and >= 0, got {r_tol}")
+    require_tolerance(r_tol)
     if not np.any(m):
         raise ValidationError("m must be nonzero")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -205,8 +216,7 @@ def normal_equations_factor(a: np.ndarray, r_tol: float) -> LeastSquaresFactor |
     A non-finite entry of a raises `NumericalError`: it shows as a
     non-finite diagonal of N, which is checked before the gate.
     """
-    if not 0 <= r_tol < math.inf:  # a NaN fails both comparisons
-        raise ValidationError(f"r_tol must be finite and >= 0, got {r_tol}")
+    require_tolerance(r_tol)
     cond_max = COND_MAX if r_tol >= TIGHT_R_TOL else COND_MAX_TIGHT
     if r_tol * cond_max > THRESHOLD_MARGIN:
         cond_max = THRESHOLD_MARGIN / r_tol

@@ -497,11 +497,15 @@ class _ProductPropagator(DelayPropagator):
         c = self._ref_prods[self.cfg.stride - 1::self.cfg.stride]
         return np.vstack([self._b_rows(), self._blocks(c)])
 
-    def _advance_memory(self, e, compare):
-        if self.cfg.depth > 0:
-            self._ref_prods[1:] = e @ self._ref_prods[:-1]
-            self._ref_prods[0] = e
-        return False
+    def _advance_memory(self, e):
+        self._ref_prods[1:] = e @ self._ref_prods[:-1]
+        self._ref_prods[0] = e
+
+    def step(self):
+        q_next = super().step()
+        # no run of one unitary ever starts, so at depth >= 1 no solve is kept
+        self._last_e = None
+        return q_next
 
 
 class _KronPropagator(_ProductPropagator):

@@ -161,13 +161,53 @@ def test_propagate_y_numerical_error_names_the_step():
 
 
 def test_propagate_y_non_finite_memory_names_solve_stage():
-    # a NaN step propagator makes M(t) NaN, whose SVD does not converge
+    # invertible propagators 1e-200 U step back by 1e200 U^dagger, so M(t)'s
+    # third block overflows, and its SVD does not converge
+    n, m_rows, ell = 6, 2, 3
+    r, _, _, _, local = _random_history(n, m_rows, 0, seed=21)
+    a = 1e-200 * random_unitary(n, local)
+    hist = HistoryBuffer(ell)
+    hist.push(None, local.standard_normal(m_rows) + 0j)
+    for _ in range(ell):
+        hist.push(a, local.standard_normal(m_rows) + 0j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="step 4: the solve stage failed"):
+            propagate_y(hist, r, a, DelayConfig(ell=ell), unitary=False)
+
+
+def test_propagate_y_non_finite_propagator_names_memory_stage():
+    # a NaN step propagator has a NaN unitarity defect
     n, m_rows, ell = 6, 2, 3
     r, hist, _, _, local = _random_history(n, m_rows, ell, seed=21)
     a = random_unitary(n, local)
     hist.propagators[-1][2, 1] = np.nan
-    with pytest.raises(NumericalError, match="solve stage failed"):
+    with pytest.raises(NumericalError, match="step 4: the memory-matrix stage failed: "
+                                             "propagator is not unitary"):
         propagate_y(hist, r, a, DelayConfig(ell=ell))
+
+
+def test_propagate_y_rejects_a_propagator_that_is_not_unitary():
+    # 1.01 U taken as unitary: stepping back with its adjoint would miss
+    # y(t+1) by up to 0.3 with no error
+    n, m_rows, ell = 8, 3, 4
+    local = np.random.default_rng(4)
+    u = random_unitary(n, local)
+    r = ReductionMap(np.eye(n)[:m_rows].astype(complex))
+    hist = HistoryBuffer(ell)
+    hist.push(None, local.standard_normal(m_rows) + 0j)
+    for j in range(ell):
+        hist.push(1.01 * u if j == 1 else u, local.standard_normal(m_rows) + 0j)
+    with pytest.raises(NumericalError, match=r"step 5: the memory-matrix stage failed: "
+                                             r"propagator is not unitary: \|\|A\^dagger A - I"):
+        propagate_y(hist, r, u, DelayConfig(ell=ell))
+    # a propagator within the bound, CiSystem's 1e-10 n, passes
+    near = u + 1e-12 * np.eye(n)
+    assert np.linalg.norm(near.conj().T @ near - np.eye(n)) <= 1e-10 * n
+    hist = HistoryBuffer(ell)
+    hist.push(None, local.standard_normal(m_rows) + 0j)
+    for _ in range(ell):
+        hist.push(near, local.standard_normal(m_rows) + 0j)
+    propagate_y(hist, r, u, DelayConfig(ell=ell))
 
 
 def _copied_history(hist):
@@ -268,9 +308,11 @@ def test_propagate_y_invertible_propagators_step_back_with_the_inverse():
     y_next, diag = propagate_y(hist, r, a, DelayConfig(ell=1), unitary=False)
     assert np.max(np.abs(y_next - exact)) < 1e-12
     assert not diag.rank_deficient
-    # the same A taken as unitary misses by O(1): the test tells the paths apart
-    y_wrong, _ = propagate_y(hist, r, a, DelayConfig(ell=1))
-    assert np.max(np.abs(y_wrong - exact)) > 1e-2
+    # the same A taken as unitary would miss by O(1): the unitary path
+    # refuses it, naming the step and the stage
+    with pytest.raises(NumericalError, match=f"step {hist.pushes + 1}: the memory-matrix "
+                                             "stage failed: propagator is not unitary"):
+        propagate_y(hist, r, a, DelayConfig(ell=1))
 
 
 def test_propagate_y_ill_conditioned_propagator_raises_numerical_error():
@@ -679,6 +721,25 @@ def test_mori_zwanzig_diagonal_unitary_long_run():
     traj, diverged = mori_zwanzig_propagate(a, r, q @ z0, rt @ z0, 200, rtilde=rt)
     err = max(np.max(np.abs(traj[t] - q @ direct[t])) for t in range(201))
     assert err < 1e-8
+    assert not diverged
+
+
+def test_mori_zwanzig_is_exact_for_a_propagator_that_is_not_unitary():
+    # the block recurrence holds for any a; with 1.01 U it tracks the direct
+    # propagation to rounding, so mori_zwanzig_propagate needs no unitarity check
+    local = np.random.default_rng(29)
+    n, m, steps = 8, 3, 40
+    a = 1.01 * random_unitary(n, local)
+    q = random_unitary(n, local)[:m]
+    r = ReductionMap(q)
+    rt = complete_reduction_basis(r)
+    z = local.standard_normal(n) + 1j * local.standard_normal(n)
+    direct = [q @ z]
+    traj, diverged = mori_zwanzig_propagate(a, r, q @ z, rt @ z, steps, rtilde=rt)
+    for _ in range(steps):
+        z = a @ z
+        direct.append(q @ z)
+    assert np.max(np.abs(traj - np.array(direct))) < 1e-12
     assert not diverged
 
 

@@ -109,7 +109,7 @@ def _step_until_reuse(prop, n_max):
 
 def _copied_unitaries(monkeypatch):
     """Hand the propagator a fresh copy of every step unitary: equal values,
-    never the previous step's array, so it never reuses a solve."""
+    never the previous step's array, so at ell >= 1 it never reuses a solve."""
     monkeypatch.setattr(constraint_prop, "step_unitary",
                         lambda system, t, dt: step_unitary(system, t, dt).copy())
 
@@ -198,6 +198,31 @@ def test_driven_steps_factor_every_step(monkeypatch, stride):
         prop.step()
     assert len(solves) == n_delay
     assert prop._solved is None
+
+
+@pytest.mark.parametrize("mode", ["constrained", "raw"])
+def test_driven_run_at_ell_0_factors_once(monkeypatch, mode):
+    # at ell 0 M is the rows of B~ alone, whatever the field does: criterion
+    # 5's system, driven on all 300 steps, factors on the first step only,
+    # and matches a run that factors afresh on every step bit for bit
+    system, b, _, dt, _, q_true = _case("crit5", 1)
+    cfg, n_steps = DelayConfig(ell=0, r_tol=1e-12), 300
+    runs = []
+    for fresh in (False, True):
+        with monkeypatch.context() as patch:
+            factorizations = _factorizations(patch)
+            prop = DelayPropagator(system, b, cfg, dt, mode=mode)
+            prop.warm_start(q_true[:1])
+            q = []
+            for _ in range(n_steps):
+                if fresh:
+                    prop._solved = None
+                q.append(prop.step())
+            runs.append((q, prop.records, len(factorizations)))
+    (q, records, n_factored), (q_ref, records_ref, n_ref) = runs
+    assert (n_factored, n_ref) == (1, n_steps)
+    assert _same_bits(q, q_ref)
+    assert records == records_ref
 
 
 @pytest.mark.parametrize("stride", [1, 2])
