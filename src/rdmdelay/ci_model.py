@@ -33,6 +33,7 @@ from .numkit import (
     ValidationError,
     as_complex_matrix,
     flatten,
+    is_unitary,
     pinv_thresholded,
     require_hermitian,
 )
@@ -136,7 +137,7 @@ class CiSystem:
         n_c = self.index_map.n_configs
         if c.shape != (n_c, n_c):
             raise ValidationError(f"C has shape {c.shape}, expected {(n_c, n_c)}")
-        if np.linalg.norm(c.conj().T @ c - np.eye(n_c)) > 1e-10 * n_c:
+        if not is_unitary(c):
             raise ValidationError("C is not unitary within 1e-10")
         if self.index_map.n_electrons != self.n_electrons:
             raise ValidationError("index map / n_electrons mismatch")
@@ -280,18 +281,18 @@ def build_B(system: CiSystem) -> BTensor:
     return BTensor(data, system.n_electrons)
 
 
-def oracle_B(system: CiSystem, max_electrons: int = 4) -> BTensor:
+def oracle_B(system: CiSystem) -> BTensor:
     """B tensor by the raw (N!)^2 permutation double sum — no case analysis.
 
     For each determinant pair, sums over all orderings of both tuples with
     permutation signs, requiring exact agreement of the trailing N-1
     spin-orbitals and equal spin parity in the leading slot; the leading
     spatial orbitals give the (b, c) placement.  Cost makes this an
-    N <= max_electrons oracle only.
+    N <= 4 oracle only.
     """
     n = system.n_electrons
-    if n > max_electrons:
-        raise ValidationError(f"oracle limited to N <= {max_electrons}, got N = {n}")
+    if n > 4:
+        raise ValidationError(f"oracle limited to N <= 4, got N = {n}")
     imap = system.index_map
     n_c, k = imap.n_configs, imap.n_orbitals
     perms = list(itertools.permutations(range(n)))
@@ -400,24 +401,24 @@ def build_one_electron_system(h: np.ndarray, mu: np.ndarray, c="diagonalize",
     return OneElectronSystem(system=system, h_orb=h, mu_orb=mu)
 
 
-def verify_bplus_identities(b: BTensor, rng=None, n_trials: int = 10,
-                            r_tol: float = 1e-12) -> dict:
+def verify_bplus_identities(b: BTensor, rng=None) -> dict:
     """Exactness identities of the one-electron (C = I) reduction tensor.
 
     For the separable index map, B~ vec(W (x) I + I (x) W) = vec(2K W + 2 tr(W) I)
     for every K x K matrix W, and B~ B~+ is the K^2 identity.  On the
     trace-2 slice this reduces to the reference forms vec(4W + 4I) (K = 2)
     and vec(8W + 4I) (K = 4), which are checked verbatim along with the
-    pseudoinverse direction B~+ vec(...) = vec(W (x) I + I (x) W).
+    pseudoinverse direction B~+ vec(...) = vec(W (x) I + I (x) W), each
+    for ten random W, with B~+ thresholded at r_tol 1e-12.
     """
     rng = np.random.default_rng(rng)
     k = b.n_orbitals
     bt = b.matricized
-    pinv, _, _ = pinv_thresholded(bt, r_tol)
+    pinv, _, _ = pinv_thresholded(bt, 1e-12)
     eye = np.eye(k)
     dev_proj = float(np.abs(bt @ pinv - np.eye(k * k)).max())
     dev_fwd = dev_ref_fwd = dev_ref_inv = 0.0
-    for _ in range(n_trials):
+    for _ in range(10):
         w = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         big = np.kron(w, eye) + np.kron(eye, w)
         lhs = bt @ flatten(big)
@@ -438,26 +439,18 @@ def verify_bplus_identities(b: BTensor, rng=None, n_trials: int = 10,
     }
 
 
-class _ReprFloat(float):
-    """Float that serializes with 17 significant digits."""
-
-    def __repr__(self):
-        return format(float(self), ".17g")
-
-
 def _reim(m: np.ndarray) -> list:
-    return [[[_ReprFloat(z.real), _ReprFloat(z.imag)] for z in row] for row in m]
+    """m as nested lists of [real, imag] pairs of Python floats."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def _from_reim(rows, name: str) -> np.ndarray:
-    try:
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad {name} in system file: {exc}") from exc
+def _from_reim(rows) -> np.ndarray:
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
 def save_system(system: CiSystem, path) -> None:
-    """Write a system-definition JSON file (17 significant digits)."""
+    """Write a system-definition JSON file.  Each float is written as its
+    shortest repr, which reads back to the same float."""
     if system.h0_full is not None and np.abs(
             system.h0_full - np.diag(np.diag(system.h0_full))).max() > 0:
         raise ValidationError("only systems with diagonal H0 are serializable")
@@ -467,11 +460,11 @@ def save_system(system: CiSystem, path) -> None:
         "n_configs": system.n_configs,
         "c_matrix": _reim(system.c_matrix),
         "index_map": [list(t) for t in system.index_map.combos],
-        "h0_diag": [_ReprFloat(x) for x in system.h0_diag],
+        "h0_diag": system.h0_diag.tolist(),
         "m_dip": _reim(system.m_dip),
         "field": {
-            "amplitude": _ReprFloat(system.field.amplitude),
-            "omega": _ReprFloat(system.field.omega),
+            "amplitude": float(system.field.amplitude),
+            "omega": float(system.field.omega),
             "cycles": system.field.cycles,
         },
     }
@@ -498,17 +491,15 @@ def load_system(path) -> CiSystem:
         # fractional count instead of int() truncating it
         field_profile = FieldProfile(float(fld["amplitude"]), float(fld["omega"]),
                                      fld["cycles"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        c = _from_reim(doc["c_matrix"])
+        h0 = np.asarray(doc["h0_diag"], dtype=float)
+        m_dip = _from_reim(doc["m_dip"])
+    except KeyError as exc:
+        raise ValidationError(f"bad system file {path}: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad system file {path}: {exc}") from exc
     if index_map.n_configs != n_c:
         raise ValidationError(f"n_configs = {n_c} but index map lists "
                               f"{index_map.n_configs} determinants")
-    return CiSystem(
-        n_electrons=n,
-        n_orbitals=k,
-        c_matrix=_from_reim(doc["c_matrix"], "c_matrix"),
-        index_map=index_map,
-        h0_diag=np.asarray(doc["h0_diag"], dtype=float),
-        m_dip=_from_reim(doc["m_dip"], "m_dip"),
-        field=field_profile,
-    )
+    return CiSystem(n_electrons=n, n_orbitals=k, c_matrix=c, index_map=index_map,
+                    h0_diag=h0, m_dip=m_dip, field=field_profile)

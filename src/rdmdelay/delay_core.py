@@ -23,6 +23,7 @@ from .numkit import (
     NumericalError,
     ValidationError,
     as_complex_matrix,
+    is_unitary,
     normal_equations_factor,
     pinv_thresholded,
     require_count,
@@ -89,10 +90,7 @@ class KeptMemory(NamedTuple):
     r: ReductionMap  # compared by identity
     ell: int
     stride: int
-    unitary: bool
     pushes: int  # `HistoryBuffer.pushes` when m was last found current
-    # the one propagator that filled m's whole window, or None
-    constant: np.ndarray | None
     m: np.ndarray
     r_tol: float | None
     factor: LeastSquaresFactor | None  # of m at r_tol
@@ -106,15 +104,18 @@ class HistoryBuffer:
     ``reduced[-1]`` is y(t).  Capacities are depth (an integer >= 0) and
     depth+1 respectively.  `push` keeps every propagator, and every reduced
     vector, the shape of the first; ``pushes`` counts the propagators
-    pushed.  ``memory`` is the M(t) of the last `propagate_y` call and its
-    factor, which later calls reuse while M's window is unchanged (see
-    there), so change the history only through `push`.
+    pushed, and ``run_start`` is the count at which the newest run of
+    bitwise-equal propagators began.  ``memory`` is the M(t) of the last
+    `propagate_y` call and its factor, which later calls reuse while M's
+    window is unchanged (see there), so change the history only through
+    `push`.
     """
 
     depth: int
     propagators: deque = field(init=False)
     reduced: deque = field(init=False)
     pushes: int = field(init=False, default=0)
+    run_start: int = field(init=False, default=0)
     memory: KeptMemory | None = field(init=False, default=None)
 
     def __post_init__(self):
@@ -136,8 +137,12 @@ class HistoryBuffer:
             if self.propagators and a_prev.shape != self.propagators[-1].shape:
                 raise ValidationError(f"a_prev has shape {a_prev.shape}, but the history's "
                                       f"propagators have shape {self.propagators[-1].shape}")
-            self.propagators.append(a_prev)
             self.pushes += 1
+            # the same array pushed again continues its run without a compare
+            if not self.propagators or (a_prev is not self.propagators[-1] and
+                                        not np.array_equal(a_prev, self.propagators[-1])):
+                self.run_start = self.pushes
+            self.propagators.append(a_prev)
         self.reduced.append(y)
 
     def stacked_reduced(self, cfg: DelayConfig) -> np.ndarray:
@@ -151,24 +156,21 @@ class HistoryBuffer:
         )
 
 
-def _back_step(a: np.ndarray, unitary: bool, checked=None) -> np.ndarray:
-    """A(t)^dagger for unitary systems, A(t)^-1 otherwise.  A unitary A must
-    pass ||A^dagger A - I||_F <= 1e-10 n, `CiSystem`'s bound for C, unless
-    it is the array `checked`, which has passed."""
-    if unitary:
-        defect = 0.0 if a is checked else np.linalg.norm(a.conj().T @ a - np.eye(len(a)))
-        if not defect <= 1e-10 * len(a):  # a NaN defect raises too
-            raise NumericalError(f"propagator is not unitary: ||A^dagger A - I||_F = "
-                                 f"{defect:.3e} exceeds {1e-10 * len(a):.1e}")
+def _back_step(a: np.ndarray) -> np.ndarray:
+    """The map from z(t+1) back to z(t): A(t)^dagger when A(t) passes
+    `is_unitary`, else A(t)^-1, whose condition number must not exceed 1e12.
+    A non-finite A(t) raises `NumericalError`."""
+    if is_unitary(a):
         return a.conj().T
+    if not np.isfinite(a).all():
+        raise NumericalError("propagator has non-finite entries")
     cond = np.linalg.cond(a)
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericalError(f"propagator condition number {cond:.3e} exceeds 1e12")
     return np.linalg.inv(a)
 
 
-def build_M(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig,
-            unitary: bool = True) -> np.ndarray:
+def build_M(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig) -> np.ndarray:
     """Stacked observation operator with stride.
 
     Block j (j = 0..ell) is R times the product of back-steps carrying z(t)
@@ -184,8 +186,10 @@ def build_M(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig,
     back = np.eye(r.n, dtype=complex)
     props = list(history.propagators)
     for m in range(1, need + 1):
-        # a window of one repeated array checks its unitarity once
-        back = _back_step(props[-m], unitary, props[1 - m] if m > 1 else None) @ back
+        # a window of one repeated array forms its back-step once
+        if m == 1 or props[-m] is not props[1 - m]:
+            step = _back_step(props[-m])
+        back = step @ back
         if m % cfg.stride == 0:
             blocks.append(r.matrix @ back)
     return np.vstack(blocks)
@@ -199,32 +203,26 @@ class StepDiagnostics:
     rank_deficient: bool
 
 
-def _memory_matrix(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig,
-                   unitary: bool) -> KeptMemory:
+def _memory_matrix(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig) -> KeptMemory:
     """M(t) for `propagate_y` as a record, which the caller keeps on the history.
 
     The kept record is reused while M's window is unchanged: the same r (by
-    identity), ell, stride and `unitary`, and every propagator pushed since
-    it was built, among the newest cfg.depth, bitwise equal to the one
-    propagator that filled its whole window.  That holds with no push, and
-    at ell 0, whose M reads no propagator.  Otherwise `build_M` forms M.
-    Either way M is bitwise what `build_M` gives on this history.
+    identity), ell and stride, and no push since it was built, or ell 0,
+    whose M reads no propagator, or a run of bitwise-equal propagators
+    (``history.run_start``) that began at or before the first propagator of
+    the kept window.  Otherwise `build_M` forms M.  Either way M is bitwise
+    what `build_M` gives on this history.
     """
-    kept, props = history.memory, history.propagators
-    if (kept is not None and kept.r is r
-            and (kept.ell, kept.stride, kept.unitary) == (cfg.ell, cfg.stride, unitary)
-            and all(kept.constant is not None and np.array_equal(props[-1 - i], kept.constant)
-                    for i in range(min(history.pushes - kept.pushes, cfg.depth)))):
+    kept = history.memory
+    if (kept is not None and kept.r is r and (kept.ell, kept.stride) == (cfg.ell, cfg.stride)
+            and (kept.pushes == history.pushes or cfg.depth == 0
+                 or history.run_start <= kept.pushes - cfg.depth + 1)):
         return kept
-    m_t = build_M(history, r, cfg, unitary=unitary)
-    window = [props[-1 - i] for i in range(cfg.depth)]
-    filled = window and all(np.array_equal(p, window[0]) for p in window[1:])
-    constant = window[0].copy() if filled else None
-    return KeptMemory(r, cfg.ell, cfg.stride, unitary, history.pushes, constant, m_t, None, None)
+    return KeptMemory(r, cfg.ell, cfg.stride, history.pushes, build_M(history, r, cfg), None, None)
 
 
 def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
-                cfg: DelayConfig, unitary: bool = True):
+                cfg: DelayConfig):
     """One step of the self-contained delay equation for y.
 
     Returns (y(t+1), diagnostics).  Rank deficiency of M(t) is reported via
@@ -232,17 +230,17 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
     thresholded pseudoinverse still yields a least-squares reconstruction.
     A failed SVD, or a non-finite z_hat or y(t+1), raises `NumericalError`
     naming the step and the stage (solve or propagation) where it appeared,
-    and an ill-conditioned back-step, or with `unitary` a propagator that is
-    not unitary (`_back_step`), names the memory-matrix stage.  The
+    and a non-finite or ill-conditioned propagator in M's window
+    (`_back_step`) names the memory-matrix stage.  The
     step is numbered history.pushes + 1, the step that makes y(t+1) from a
     history of y(0)..y(t), as `DelayPropagator.step` numbers its steps.  An
     a_t, or a history, whose shapes do not match r raises `ValidationError`.
 
     M(t) and its factor are kept on the history and reused while M's window
     of propagators is unchanged (`_memory_matrix`); the factor is formed
-    again when r_tol changes.  M(t) depends only on r, ell, stride,
-    `unitary` and that window, so every output is bitwise what the same
-    call gives on a new `HistoryBuffer` with the same contents.
+    again when r_tol changes.  M(t) depends only on r, ell, stride and that
+    window, so every output is bitwise what the same call gives on a new
+    `HistoryBuffer` with the same contents.
     """
     a_t = as_complex_matrix(a_t, "A(t)")
     if a_t.shape != (r.n, r.n):
@@ -256,7 +254,7 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
                               f"{history.reduced[-1].shape}, but r has m = {r.m}")
     step = history.pushes + 1
     try:
-        kept = _memory_matrix(history, r, cfg, unitary)
+        kept = _memory_matrix(history, r, cfg)
     except NumericalError as exc:
         raise NumericalError(f"propagate_y: step {step}: the memory-matrix stage "
                              f"failed: {exc}") from exc

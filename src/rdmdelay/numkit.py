@@ -51,6 +51,16 @@ def require_tolerance(r_tol):
         raise ValidationError(f"r_tol must be finite and >= 0, got {r_tol}")
 
 
+def is_unitary(a: np.ndarray) -> bool:
+    """Whether the square matrix a passes ||A^dagger A - I||_F <= 1e-10 n,
+    the package's one unitarity bound.  A NaN or infinite entry fails it."""
+    n = len(a)
+    # a non-finite entry gives a NaN or infinite defect, which fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.linalg.norm(a.conj().T @ a - np.eye(n))
+    return bool(defect <= 1e-10 * n)
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
     """max |A - A^dagger|, the absolute deviation from Hermitian symmetry."""
     return float(np.abs(a - a.conj().T).max()) if a.size else 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -200,6 +201,16 @@ def test_system_rejects_non_finite_dipole():
         CiSystem(n_electrons=2, n_orbitals=2, c_matrix=np.eye(4),
                  index_map=one_electron_index_map(2),
                  h0_diag=np.arange(4.0), m_dip=m_dip)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_system_rejects_non_finite_c(bad):
+    # a NaN unitarity defect fails the bound, as a large one does
+    system = _all_pairs_system(2, seed=3)
+    c = system.c_matrix.copy()
+    c[1, 2] = bad
+    with pytest.raises(ValidationError, match="C is not unitary"):
+        dataclasses.replace(system, c_matrix=c)
 
 
 def test_system_keeps_read_only_copies():

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from rdmdelay.ci_model import load_system
 from rdmdelay.cli import main
+from rdmdelay.numkit import ValidationError
 
 
 def _gen(tmp_path, nc=4, k=2, seed=3):
@@ -116,6 +118,29 @@ def test_bad_system_content_is_validation_error(tmp_path):
     bad.write_text("{\"n_electrons\": 2}")
     rc = main(["build-b", "--system", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("c_matrix", None, "missing key 'c_matrix'"),
+    ("m_dip", None, "missing key 'm_dip'"),
+    ("h0_diag", None, "missing key 'h0_diag'"),
+    ("h0_diag", ["a", "b", "c", "d"], "could not convert string to float"),
+    ("c_matrix", [[1.0]], "cannot unpack"),
+])
+def test_malformed_system_file_is_validation_error(tmp_path, capsys, key, value, message):
+    path = _gen(tmp_path)
+    doc = json.loads(path.read_text())
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=f"bad system file .*{message}"):
+        load_system(path)
+    rc = main(["build-b", "--system", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "validation error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key, value", [("cycles", float("inf")), ("amplitude", float("nan"))])

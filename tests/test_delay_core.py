@@ -172,42 +172,42 @@ def test_propagate_y_non_finite_memory_names_solve_stage():
         hist.push(a, local.standard_normal(m_rows) + 0j)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="step 4: the solve stage failed"):
-            propagate_y(hist, r, a, DelayConfig(ell=ell), unitary=False)
+            propagate_y(hist, r, a, DelayConfig(ell=ell))
 
 
 def test_propagate_y_non_finite_propagator_names_memory_stage():
-    # a NaN step propagator has a NaN unitarity defect
     n, m_rows, ell = 6, 2, 3
-    r, hist, _, _, local = _random_history(n, m_rows, ell, seed=21)
-    a = random_unitary(n, local)
-    hist.propagators[-1][2, 1] = np.nan
-    with pytest.raises(NumericalError, match="step 4: the memory-matrix stage failed: "
-                                             "propagator is not unitary"):
-        propagate_y(hist, r, a, DelayConfig(ell=ell))
+    for bad in (np.nan, np.inf):
+        r, hist, _, _, local = _random_history(n, m_rows, ell, seed=21)
+        a = random_unitary(n, local)
+        hist.propagators[-1][2, 1] = bad
+        with pytest.raises(NumericalError, match="step 4: the memory-matrix stage failed: "
+                                                 "propagator has non-finite entries"):
+            propagate_y(hist, r, a, DelayConfig(ell=ell))
 
 
-def test_propagate_y_rejects_a_propagator_that_is_not_unitary():
-    # 1.01 U taken as unitary: stepping back with its adjoint would miss
-    # y(t+1) by up to 0.3 with no error
+def test_propagate_y_steps_back_through_a_propagator_that_is_not_unitary():
+    # 1.01 U fails the unitarity bound, so build_M steps back through it
+    # with its inverse; its adjoint would miss y(t+1) by up to 0.3
     n, m_rows, ell = 8, 3, 4
     local = np.random.default_rng(4)
     u = random_unitary(n, local)
     r = ReductionMap(np.eye(n)[:m_rows].astype(complex))
-    hist = HistoryBuffer(ell)
-    hist.push(None, local.standard_normal(m_rows) + 0j)
-    for j in range(ell):
-        hist.push(1.01 * u if j == 1 else u, local.standard_normal(m_rows) + 0j)
-    with pytest.raises(NumericalError, match=r"step 5: the memory-matrix stage failed: "
-                                             r"propagator is not unitary: \|\|A\^dagger A - I"):
-        propagate_y(hist, r, u, DelayConfig(ell=ell))
-    # a propagator within the bound, CiSystem's 1e-10 n, passes
+    props = [1.01 * u if j == 1 else u for j in range(ell)]
+    z = local.standard_normal(n) + 1j * local.standard_normal(n)
+    hist, z = _filled_history(r, props, ell, z)
+    y_next, _ = propagate_y(hist, r, u, DelayConfig(ell=ell))
+    assert np.max(np.abs(y_next - r.matrix @ (u @ z))) < 1e-12
+    # a propagator within the bound, CiSystem's 1e-10 n, steps back by its
+    # adjoint
     near = u + 1e-12 * np.eye(n)
     assert np.linalg.norm(near.conj().T @ near - np.eye(n)) <= 1e-10 * n
-    hist = HistoryBuffer(ell)
-    hist.push(None, local.standard_normal(m_rows) + 0j)
+    hist, _ = _filled_history(r, [near] * ell, ell, z)
+    back, blocks = np.eye(n, dtype=complex), [r.matrix]
     for _ in range(ell):
-        hist.push(near, local.standard_normal(m_rows) + 0j)
-    propagate_y(hist, r, u, DelayConfig(ell=ell))
+        back = near.conj().T @ back
+        blocks.append(r.matrix @ back)
+    assert build_M(hist, r, DelayConfig(ell=ell)).tobytes() == np.vstack(blocks).tobytes()
 
 
 def _copied_history(hist):
@@ -300,25 +300,20 @@ def _invertible_history(sigma, seed=33):
 
 
 def test_propagate_y_invertible_propagators_step_back_with_the_inverse():
-    # the delay equation holds for any invertible A(t): with unitary=False
-    # build_M steps back with A^-1 instead of A^dagger
+    # the delay equation holds for any invertible A(t): build_M steps back
+    # with A^-1 where A is not unitary; A^dagger would miss by O(1)
     sigma = np.random.default_rng(8).uniform(0.5, 2.0, 4)
     r, hist, a, z = _invertible_history(sigma)
     exact = r.matrix @ (a @ z)
-    y_next, diag = propagate_y(hist, r, a, DelayConfig(ell=1), unitary=False)
+    y_next, diag = propagate_y(hist, r, a, DelayConfig(ell=1))
     assert np.max(np.abs(y_next - exact)) < 1e-12
     assert not diag.rank_deficient
-    # the same A taken as unitary would miss by O(1): the unitary path
-    # refuses it, naming the step and the stage
-    with pytest.raises(NumericalError, match=f"step {hist.pushes + 1}: the memory-matrix "
-                                             "stage failed: propagator is not unitary"):
-        propagate_y(hist, r, a, DelayConfig(ell=1))
 
 
 def test_propagate_y_ill_conditioned_propagator_raises_numerical_error():
     r, hist, a, _ = _invertible_history(np.array([1.0, 1.0, 1.0, 1e-13]))
     with pytest.raises(NumericalError, match="condition number") as info:
-        propagate_y(hist, r, a, DelayConfig(ell=1), unitary=False)
+        propagate_y(hist, r, a, DelayConfig(ell=1))
     assert f"step {hist.pushes + 1}: the memory-matrix stage" in str(info.value)
 
 
@@ -341,7 +336,7 @@ def _filled_history(r, props, depth, z, capacity=None):
     return hist, z
 
 
-def _memory_pairs(r, props, cfg, unitary=True):
+def _memory_pairs(r, props, cfg):
     """propagate_y over `props`, the first cfg.depth filling the history;
     per step, the M(t) the step kept and build_M's on the same history."""
     local = np.random.default_rng(0)
@@ -349,40 +344,40 @@ def _memory_pairs(r, props, cfg, unitary=True):
     hist, z = _filled_history(r, props, cfg.depth, z)
     pairs = []
     for a in props[cfg.depth:]:
-        propagate_y(hist, r, a, cfg, unitary=unitary)
-        pairs.append((hist.memory.m, build_M(hist, r, cfg, unitary=unitary)))
+        propagate_y(hist, r, a, cfg)
+        pairs.append((hist.memory.m, build_M(hist, r, cfg)))
         z = a @ z
         hist.push(a, r.matrix @ z)
     return pairs
 
 
 def _memory_case(kind):
-    """(r, propagators, cfg, unitary) of each run."""
+    """(r, propagators, cfg) of each run."""
     local = np.random.default_rng(41)
     n, m_rows, ell, steps = 16, 4, 3, 200
     r = ReductionMap(local.standard_normal((m_rows, n)) + 1j * local.standard_normal((m_rows, n)))
     if kind == "dense constant":
         a = random_unitary(n, local)
-        return r, [a] * (ell + steps), DelayConfig(ell=ell), True
+        return r, [a] * (ell + steps), DelayConfig(ell=ell)
     if kind == "distinct":
-        return r, [random_unitary(n, local) for _ in range(ell + steps)], DelayConfig(ell=ell), True
+        return r, [random_unitary(n, local) for _ in range(ell + steps)], DelayConfig(ell=ell)
     if kind == "invertible":
         n, steps = 6, 60
         r = ReductionMap(local.standard_normal((2, n)) + 1j * local.standard_normal((2, n)))
-        return r, [_invertible(n, local) for _ in range(ell + steps)], DelayConfig(ell=ell), False
+        return r, [_invertible(n, local) for _ in range(ell + steps)], DelayConfig(ell=ell)
     if kind == "ell 0":
-        return r, [random_unitary(n, local) for _ in range(steps)], DelayConfig(ell=0), True
+        return r, [random_unitary(n, local) for _ in range(steps)], DelayConfig(ell=0)
     # ell 1 with coordinate rows
     r = ReductionMap(np.eye(n)[:m_rows].astype(complex))
-    return r, [random_unitary(n, local) for _ in range(1 + steps)], DelayConfig(ell=1), True
+    return r, [random_unitary(n, local) for _ in range(1 + steps)], DelayConfig(ell=1)
 
 
 @pytest.mark.filterwarnings("ignore:M\\(t\\) rank:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["dense constant", "distinct", "invertible", "ell 0",
                                   "ell 1"])
 def test_slid_memory_matches_build_M_at_every_step(kind):
-    r, props, cfg, unitary = _memory_case(kind)
-    pairs = _memory_pairs(r, props, cfg, unitary)
+    r, props, cfg = _memory_case(kind)
+    pairs = _memory_pairs(r, props, cfg)
     assert len(pairs) == len(props) - cfg.depth
     # a kept M is only ever one that build_M formed on the same window
     for kept, built in pairs:
@@ -405,8 +400,8 @@ def _stepped_history(n=6, m_rows=2, ell=2, steps=5, seed=43, capacity=None):
     return r, hist, cfg, props[-1], z
 
 
-def _rebuilt(hist, r, cfg, unitary=True):
-    return hist.memory.m.tobytes() == build_M(hist, r, cfg, unitary=unitary).tobytes()
+def _rebuilt(hist, r, cfg):
+    return hist.memory.m.tobytes() == build_M(hist, r, cfg).tobytes()
 
 
 def test_two_pushes_rebuild_the_memory():
@@ -414,7 +409,6 @@ def test_two_pushes_rebuild_the_memory():
     # once a fills the window, rebuild it; from then on a's pushes reuse it
     r, hist, cfg, a, z = _stepped_history()
     propagate_y(hist, r, a, cfg)
-    assert hist.memory.constant is None
     for _ in range(2):
         z = a @ z
         hist.push(a, r.matrix @ z)
@@ -428,7 +422,7 @@ def test_two_pushes_rebuild_the_memory():
     assert calls == {}
 
 
-@pytest.mark.parametrize("change", ["r", "ell", "unitary"])
+@pytest.mark.parametrize("change", ["r", "ell"])
 def test_another_map_rebuilds_the_memory(change):
     r, hist, cfg, a, z = _stepped_history(capacity=4)
     for _ in range(cfg.depth):
@@ -441,17 +435,14 @@ def test_another_map_rebuilds_the_memory(change):
         propagate_y(hist, r, a, cfg)
     assert calls == {}  # the same map reuses M and its factor
     hist.push(a, r.matrix @ (a @ z))
-    unitary = True
     if change == "r":
         r = ReductionMap(r.matrix.copy())  # r is compared by identity
-    elif change == "ell":
-        cfg = DelayConfig(ell=cfg.ell + 1)
     else:
-        unitary = False
+        cfg = DelayConfig(ell=cfg.ell + 1)
     with _counted_calls() as calls:
-        propagate_y(hist, r, a, cfg, unitary=unitary)
+        propagate_y(hist, r, a, cfg)
     assert calls == {"build_M": 1, "pinv_thresholded": 1}
-    assert _rebuilt(hist, r, cfg, unitary)
+    assert _rebuilt(hist, r, cfg)
 
 
 def test_stride_above_one_rebuilds_every_step():
@@ -478,13 +469,13 @@ def test_ill_conditioned_propagator_after_slid_steps_raises_at_the_next_call():
     hist, z = _filled_history(r, props, ell, z)
     cfg = DelayConfig(ell=ell)
     for a in props[ell:]:
-        propagate_y(hist, r, a, cfg, unitary=False)
+        propagate_y(hist, r, a, cfg)
         z = a @ z
         hist.push(a, r.matrix @ z)
     bad = random_unitary(n, local) @ np.diag([1.0, 1.0, 1.0, 1e-13]) @ random_unitary(n, local)
     hist.push(bad, r.matrix @ (bad @ z))
     with pytest.raises(NumericalError, match="condition number"):
-        propagate_y(hist, r, bad, cfg, unitary=False)
+        propagate_y(hist, r, bad, cfg)
 
 
 @pytest.mark.filterwarnings("ignore:M\\(t\\) rank:RuntimeWarning")
@@ -519,10 +510,9 @@ def test_constant_window_is_reused_until_the_propagator_changes():
     for _ in range(cfg.depth + 10):
         step(b)
     assert calls == {"build_M": 1 + cfg.depth, "pinv_thresholded": 1 + cfg.depth}
-    assert np.array_equal(hist.memory.constant, b)
 
 
-_OPS = ("push same", "push unitary", "push invertible", "call", "call twice",
+_OPS = ("push same", "push copy", "push unitary", "push invertible", "call", "call twice",
         "call loose", "call copied r")
 
 
@@ -533,8 +523,8 @@ _OPS = ("push same", "push unitary", "push invertible", "call", "call twice",
 def test_propagate_y_depends_only_on_the_history(ell, stride, spare, ops, seed):
     # every call gives, bit for bit, what the same call gives on a new
     # buffer with the same contents; once a call has kept M for a window
-    # filled with one propagator, pushes of it and calls at the same map
-    # and r_tol build and factor nothing
+    # filled with one propagator, pushes of it or of a bitwise-equal copy,
+    # and calls at the same map and r_tol, build and factor nothing
     local = np.random.default_rng(seed)
     n = 6
     r = ReductionMap(local.standard_normal((2, n)) + 1j * local.standard_normal((2, n)))
@@ -543,23 +533,24 @@ def test_propagate_y_depends_only_on_the_history(ell, stride, spare, ops, seed):
     hist = HistoryBuffer(cfg.depth + spare)
     for j in range(cfg.depth + 1):
         hist.push(last if j else None, local.standard_normal(2) + 1j * local.standard_normal(2))
-    unitary, settled = True, False
+    settled = False
 
     def call(r_call, r_tol=cfg.r_tol):
         cfg_call = DelayConfig(ell, stride, r_tol)
         with _counted_calls() as counts:
-            y, diag = propagate_y(hist, r_call, last, cfg_call, unitary=unitary)
-        y_fresh, diag_fresh = propagate_y(_copied_history(hist), r_call, last, cfg_call,
-                                          unitary=unitary)
+            y, diag = propagate_y(hist, r_call, last, cfg_call)
+        y_fresh, diag_fresh = propagate_y(_copied_history(hist), r_call, last, cfg_call)
         assert y.tobytes() == y_fresh.tobytes() and diag == diag_fresh
         return counts
 
     for op in ops:
         if op.startswith("push"):
-            if op == "push unitary":
+            if op == "push copy":
+                last = last.copy()  # bitwise equal, another object
+            elif op == "push unitary":
                 last, settled = random_unitary(n, local), False
             elif op == "push invertible":
-                last, unitary, settled = _invertible(n, local), False, False
+                last, settled = _invertible(n, local), False
             hist.push(last, local.standard_normal(2) + 1j * local.standard_normal(2))
         elif op == "call loose":
             call(r, 0.5)
