@@ -293,6 +293,12 @@ class StepRecord:
                 f"{self.min_eig_p:.17g}")
 
 
+# blocks of the memory stack that a rebuild multiplies by C_j per call:
+# numpy copies that many blocks of the overlapping input, 0.16 MB at
+# N_C = 16, K = 4, in 8 calls at ell 32
+_REBUILD_CHUNK = 4
+
+
 class DelayPropagator:
     """Strided-memory delay propagation of Q(t) for a TDCI system.
 
@@ -308,6 +314,8 @@ class DelayPropagator:
     of rebuilding it.  At stride > 1 the block one step back belongs to
     another residue class t mod stride, so the stack is rebuilt every step
     from the products C_j; sliding there would need one stack per class.
+    Only the slide needs scratch the size of the stack (`_work`); a rebuild
+    works in place, so a propagator at stride > 1 keeps no such buffer.
     The reduced densities live in one array, newest row first, so the
     stacked history is its rows 0, stride, 2*stride, ...
 
@@ -373,9 +381,10 @@ class DelayPropagator:
         self._memory = np.empty((cfg.ell + 1, h, n, n), dtype=complex)
         self._memory[0] = (self._weights[:, None] * self.b_tilde[self._rows]).reshape(h, n, n)
         self._stack_current = False  # _memory holds M(t) for the next step
-        # blocks 1..ell in the making: X_0 C_j^dagger in a rebuild, X_j E^dagger
-        # in a slide
-        self._work = np.empty((cfg.ell, h * n, n), dtype=complex)
+        # blocks 1..ell of a slide in the making, X_j E^dagger and then E X_j
+        # E^dagger; a rebuild works in place, so only stride 1 needs them
+        if cfg.stride == 1:
+            self._work = np.empty((cfg.ell, h * n, n), dtype=complex)
         if mode == "constrained":
             # the real system, rewritten by every fresh step: a new array of
             # this size (1.1 MB at N_C = 16, ell 32) costs every step a round
@@ -445,16 +454,22 @@ class DelayPropagator:
 
         Builds the stack from the products C_j unless it is already current:
         at stride 1 after the first step past a warm start, and at stride > 1
-        until `_advance_memory` next updates the products.
+        until `_advance_memory` next updates the products.  The build writes
+        X_0 C_j^dagger into block j, then multiplies C_j in place,
+        `_REBUILD_CHUNK` blocks at a time, so that numpy's copy of the
+        overlapping input is one chunk, not the stack.
         """
         n, h = self.n_c, len(self._rows)
         if not self._stack_current:
             c = self._cprods[self.cfg.stride - 1::self.cfg.stride]  # C_j, j = 1..ell
+            tail = self._memory[1:]
             # an overflow shows as a non-finite M, which the solve reports
             with np.errstate(over="ignore", invalid="ignore"):
-                b_c = np.matmul(self._memory[0].reshape(h * n, n),
-                                c.conj().transpose(0, 2, 1), out=self._work)
-                np.matmul(c[:, None], b_c.reshape(-1, h, n, n), out=self._memory[1:])
+                np.matmul(self._memory[0].reshape(h * n, n), c.conj().transpose(0, 2, 1),
+                          out=tail.reshape(-1, h * n, n))
+                for j in range(0, len(c), _REBUILD_CHUNK):
+                    chunk = tail[j:j + _REBUILD_CHUNK]
+                    np.matmul(c[j:j + _REBUILD_CHUNK, None], chunk, out=chunk)
             self._stack_current = True
         return self._memory.reshape(-1, n * n)
 
@@ -466,9 +481,10 @@ class DelayPropagator:
         blocks 1..ell (free once X_j E^dagger is in `_work`), multiplied and
         moved back.  At stride > 1 the products C_m are extended, and the
         stack is rebuilt from them.  An overflow shows as a non-finite M."""
-        n, tail, work = self.n_c, self._memory[1:], self._work
+        n, tail = self.n_c, self._memory[1:]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.cfg.stride == 1:
+                work = self._work
                 np.matmul(self._memory[:-1].reshape(-1, n), e.conj().T, out=work.reshape(-1, n))
                 np.copyto(tail.reshape(n, -1, n), work.reshape(-1, n, n).transpose(1, 0, 2))
                 np.matmul(e, tail.reshape(n, -1), out=work.reshape(n, -1))

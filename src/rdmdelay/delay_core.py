@@ -76,7 +76,12 @@ def factor_least_squares(a: np.ndarray, r_tol: float) -> LeastSquaresFactor:
     """min ||a x - b|| factored for any b: a real a by its normal equations
     when it passes their gate (`numkit.normal_equations_factor`), every
     other a by the thresholded pseudoinverse (`pinv_thresholded`).
-    Which of the two the factor holds tells the path a solve took."""
+    Which of the two the factor holds tells the path a solve took.  An a
+    with no column (a constrained N_C = 1 system, whose trace fixes P)
+    leaves nothing to solve for: x is empty, the residual is ||b||, and
+    the factor reads rank 0 and condition number 1."""
+    if a.shape[1] == 0:
+        return LeastSquaresFactor(a, None, np.zeros((0, a.shape[0]), a.dtype), 0, 1.0)
     if a.dtype.kind != "c":
         factor = normal_equations_factor(a, r_tol)
         if factor is not None:
@@ -107,8 +112,8 @@ class HistoryBuffer:
     pushed, and ``run_start`` is the count at which the newest run of
     bitwise-equal propagators began.  ``memory`` is the M(t) of the last
     `propagate_y` call and its factor, which later calls reuse while M's
-    window is unchanged (see there), so change the history only through
-    `push`.
+    window is unchanged (see there).  That reuse and `build_M` read
+    ``run_start``, so change the history only through `push`.
     """
 
     depth: int
@@ -174,7 +179,12 @@ def build_M(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig) -> np.nda
     """Stacked observation operator with stride.
 
     Block j (j = 0..ell) is R times the product of back-steps carrying z(t)
-    to z(t - j*k); block 0 is R itself.
+    to z(t - j*k); block 0 is R itself.  At stride k > 1, a window that is
+    one run of bitwise-equal propagators (``history.run_start``) steps back
+    k steps at once, by the k-th power of its one back-step formed by
+    repeated squaring: O(log k + ell) products instead of ell * k, equal to
+    the step-by-step product up to rounding.  At stride 1 every block needs
+    every product, so the window is stepped back one propagator at a time.
     """
     need = cfg.depth
     if len(history.propagators) < need:
@@ -184,6 +194,12 @@ def build_M(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig) -> np.nda
         )
     blocks = [r.matrix]
     back = np.eye(r.n, dtype=complex)
+    if cfg.stride > 1 and need and history.run_start <= history.pushes - need + 1:
+        jump = np.linalg.matrix_power(_back_step(history.propagators[-1]), cfg.stride)
+        for _ in range(cfg.ell):
+            back = jump @ back
+            blocks.append(r.matrix @ back)
+        return np.vstack(blocks)
     props = list(history.propagators)
     for m in range(1, need + 1):
         # a window of one repeated array forms its back-step once

@@ -146,7 +146,8 @@ THRESHOLD_MARGIN = 1e-2
 
 def extreme_eigenvalues(s: np.ndarray) -> tuple[float, float] | None:
     """(lambda_min, lambda_max) of a real symmetric matrix s, read from its
-    lower triangle, or None if LAPACK reports a failure.
+    lower triangle, or None if LAPACK reports a failure.  s is left
+    unchanged: the reduction works on a copy.
 
     s is reduced to tridiagonal form by Householder reflections (`dsytrd`,
     the reduction `np.linalg.eigvalsh` starts with), and each end
@@ -159,12 +160,18 @@ def extreme_eigenvalues(s: np.ndarray) -> tuple[float, float] | None:
     the whole tridiagonal (`dsterf`); where bisection fails, that stage is
     run instead.  The reduction costs 4n^3/3 flops, a bisection step O(n).
     """
+    return _extreme_eigenvalues(s, overwrite=False)
+
+
+def _extreme_eigenvalues(s: np.ndarray, overwrite: bool) -> tuple[float, float] | None:
+    """`extreme_eigenvalues`; with overwrite, an F-ordered float64 s is
+    reduced in place, and its contents are lost."""
     n = s.shape[0]
     lwork, info = _dsytrd_lwork(n)
     if info != 0:
         return None
     # the wrapper's default workspace of n runs the unblocked reduction
-    _, d, e, _, info = lapack.dsytrd(s, lower=1, lwork=int(lwork))
+    _, d, e, _, info = lapack.dsytrd(s, lower=1, lwork=int(lwork), overwrite_a=overwrite)
     if info != 0:
         return None
     if n == 1:  # dstebz's wrapper rejects the empty off-diagonal
@@ -222,7 +229,9 @@ def normal_equations_factor(a: np.ndarray, r_tol: float) -> LeastSquaresFactor |
 
     The condition number sqrt(lambda_max / lambda_min) comes from the two
     end eigenvalues of N alone (`extreme_eigenvalues`), not from its full
-    spectrum; every column is kept, so the rank is a.shape[1].
+    spectrum; every column is kept, so the rank is a.shape[1].  N is
+    reduced to tridiagonal form in place, so a step holds N and its
+    Cholesky factor, never a third array of their size.
     A non-finite entry of a raises `NumericalError`: it shows as a
     non-finite diagonal of N, which is checked before the gate.
     """
@@ -249,7 +258,12 @@ def normal_equations_factor(a: np.ndarray, r_tol: float) -> LeastSquaresFactor |
     # ill-conditioned steps away before the eigenvalues are computed
     if diag_max > cond_max ** 2 * factor.diagonal().min() ** 2:
         return None
-    ends = extreme_eigenvalues(gram)
+    # N's transpose is F-ordered as LAPACK wants it, so dsytrd overwrites it
+    # without a copy, reading N's upper triangle.  For a C-ordered a, such as
+    # the constrained step's, a.T @ a is one syrk whose other triangle numpy
+    # fills by copying, so that triangle is N's lower one bit for bit; for
+    # other layouts the two can differ by rounding
+    ends = _extreme_eigenvalues(gram.T, overwrite=True)
     if ends is None:
         return None
     lam_min, lam_max = ends

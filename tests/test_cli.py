@@ -44,6 +44,18 @@ def test_propagate_writes_summary(tmp_path):
     assert summary["rmse"] < 1e-6
 
 
+@pytest.mark.parametrize("mode", ["constrained", "raw"])
+def test_propagate_takes_a_one_configuration_system(tmp_path, mode):
+    # N_C = 1: the trace alone fixes P, so the constrained solve has no column
+    path = _gen(tmp_path, nc=1, k=1, seed=0)
+    out = tmp_path / "prop"
+    rc = main(["propagate", "--system", str(path), "--steps", "20", "--ell", "2",
+               "--mode", mode, "--out", str(out)])
+    assert rc == 0
+    summary = json.loads(next(out.glob("*_summary.json")).read_text())
+    assert summary["rmse"] < 1e-12
+
+
 def test_sweep_subcommand(tmp_path):
     path = _gen(tmp_path)
     out = tmp_path / "sweep"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,7 @@ from rdmdelay.numkit import (
     NumericalError,
     ValidationError,
     flatten,
+    normal_equations_factor,
     random_hermitian,
     random_unitary,
 )
@@ -379,6 +382,22 @@ def test_raw_and_constrained_agree_when_well_posed():
     assert np.max(np.abs(q_con - q_raw)) < 1e-8
 
 
+def test_one_configuration_is_solved_from_the_trace_alone():
+    # N_C = 1 leaves no free coordinate: x is empty, P-hat is the trace, and
+    # every step reads rank 0 (the column count) and condition number 1
+    s = generate_synthetic_system(1, 1, seed=0)
+    b = build_B(s)
+    dt, n, cfg = 0.08268, 20, DelayConfig(ell=2)
+    q_true = reduced_density_series(propagate_coefficients(s, dt, n), b)
+    q_con, records = run_delay_propagation(s, b, dt, n, cfg, q_true)
+    q_raw, _ = run_delay_propagation(s, b, dt, n, cfg, q_true, mode="raw")
+    assert np.abs(q_con - q_raw).max() <= 1e-12
+    assert {(r.effective_rank, r.condition_number) for r in records} == {(0, 1.0)}
+    b_ell = np.array([0.5, -2.0, 0.0])
+    x, residual, rank, cond, _ = solve_constrained(np.zeros((3, 0)), b_ell, 1e-12)
+    assert x.shape == (0,) and (residual, rank, cond) == (np.linalg.norm(b_ell), 0, 1.0)
+
+
 @pytest.mark.parametrize("mode", ["constrained", "raw"])
 def test_non_finite_history_raises_numerical_error(mode):
     s = generate_synthetic_system(4, 2, seed=3)
@@ -590,6 +609,60 @@ def test_stride_above_one_rebuilds_the_stack_bitwise():
     q_ref = [ref.step() for _ in range(n_delay)]
     assert _same_bits(q_fast, q_ref)
     assert [r.csv_row() for r in fast.records] == [r.csv_row() for r in ref.records]
+
+
+def _crit7_stride8(n_delay):
+    """Criterion 7's system at ell 32, stride 8, r_tol 1e-6, warm-started:
+    (propagator, its warm-start seed, the ground truth's Q series)."""
+    s = generate_synthetic_system(16, 4, seed=5, h0_scale=10.0)
+    b = build_B(s)
+    dt, cfg = 0.008268, DelayConfig(ell=32, stride=8, r_tol=1e-6)
+    q_true = reduced_density_series(propagate_coefficients(s, dt, cfg.depth + n_delay), b)
+    seed = [q_true[j] for j in range(cfg.depth + 1)]
+    prop = DelayPropagator(s, b, cfg, dt)
+    prop.warm_start(seed)
+    return prop, seed
+
+
+def test_strided_step_holds_no_stack_sized_scratch():
+    # at stride > 1 the rebuild of M works in place, and the gate reduces the
+    # Gram matrix N it owns: a propagator keeps its stack, the products C_m,
+    # A and the history, and a fresh step adds no more than the larger of A
+    # (its assembly's second gather) and N with its Cholesky factor, plus
+    # LAPACK's workspace and vectors (a quarter of N covers them)
+    warm, seed = _crit7_stride8(2)
+    for _ in range(2):  # numpy's and LAPACK's first-call allocations
+        warm.step()
+    assert normal_equations_factor(warm._a, warm.cfg.r_tol) is not None  # the gate passes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prop = DelayPropagator(warm.system, warm.b, warm.cfg, warm.dt)
+        prop.warm_start(seed)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        prop.step()
+        tracemalloc.reset_peak()
+        between = tracemalloc.get_traced_memory()[0]
+        prop.step()
+        step_peak = tracemalloc.get_traced_memory()[1] - between
+    finally:
+        tracemalloc.stop()
+    arrays = sum(x.nbytes for x in (prop._memory, prop._cprods, prop._a, prop._q_hist))
+    stack_tail = prop._memory[1:].nbytes
+    assert kept - arrays < stack_tail / 4
+    gram = prop._a.shape[1] ** 2 * 8
+    assert step_peak <= max(prop._a.nbytes, 2 * gram) + gram / 4
+
+
+def test_gram_of_the_strided_system_is_exactly_symmetric():
+    # the gate reads N's upper triangle for its lower one (numkit), which is
+    # exact for the C-ordered A a constrained step forms
+    prop, _ = _crit7_stride8(1)
+    prop.step()
+    a = prop._a
+    assert a.flags.c_contiguous
+    gram = a.T @ a
+    assert np.array_equal(gram, gram.T)
 
 
 @pytest.mark.parametrize("mode", ["constrained", "raw"])

@@ -211,11 +211,15 @@ def test_propagate_y_steps_back_through_a_propagator_that_is_not_unitary():
 
 
 def _copied_history(hist):
-    """The same propagators and reduced vectors in a new buffer, which holds
-    no kept solve."""
+    """The same propagators and reduced vectors pushed into a new buffer,
+    which holds no kept solve."""
     fresh = HistoryBuffer(hist.depth)
-    fresh.propagators.extend(hist.propagators)
-    fresh.reduced.extend(hist.reduced)
+    props, reduced = list(hist.propagators), list(hist.reduced)
+    # at depth 0 the one reduced vector came with the one propagator, so the
+    # start is a placeholder that the next push drops
+    fresh.push(None, reduced[0] if len(reduced) > len(props) else np.zeros_like(reduced[0]))
+    for a, y in zip(props, reduced[len(reduced) - len(props):]):
+        fresh.push(a, y)
     return fresh
 
 
@@ -652,6 +656,36 @@ def test_near_identity_propagators_need_stride():
     rank_strided = pinv_thresholded(m_strided, 1e-6).effective_rank
     assert rank_dense < n
     assert rank_strided == n
+
+
+@pytest.mark.parametrize("copies", [False, True], ids=["same array", "bitwise copies"])
+def test_one_run_window_steps_back_a_stride_at_once(monkeypatch, copies):
+    # a window of one repeated unitary at stride 10 steps back by its tenth
+    # power, formed by repeated squaring, not by ten products per block
+    n, stride, ell = 6, 10, 3
+    local = np.random.default_rng(47)
+    r = ReductionMap(local.standard_normal((2, n)) + 1j * local.standard_normal((2, n)))
+    a = random_unitary(n, local)
+    hist = HistoryBuffer(ell * stride)
+    hist.push(None, np.zeros(2))
+    for _ in range(ell * stride):
+        hist.push(a.copy() if copies else a, np.zeros(2))
+    back, expect = np.eye(n), [r.matrix]
+    for m in range(1, ell * stride + 1):
+        back = a.conj().T @ back
+        if m % stride == 0:
+            expect.append(r.matrix @ back)
+    expect = np.vstack(expect)
+    calls = Counter()
+
+    def counting(p, _original=delay_core._back_step):
+        calls["_back_step"] += 1
+        return _original(p)
+
+    monkeypatch.setattr(delay_core, "_back_step", counting)
+    m = build_M(hist, r, DelayConfig(ell=ell, stride=stride))
+    assert np.abs(m - expect).max() <= 1e-13 * np.abs(expect).max()
+    assert calls == {"_back_step": 1}
 
 
 def test_complete_reduction_basis_coordinate_projection():

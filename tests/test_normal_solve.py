@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
-from rdmdelay import delay_core
+from rdmdelay import delay_core, numkit
 from rdmdelay.ci_model import build_B
 from rdmdelay.constraint_prop import DelayPropagator, solve_constrained
 from rdmdelay.delay_core import DelayConfig
@@ -307,6 +307,47 @@ def test_extreme_eigenvalues_of_an_orthogonal_system():
     lam_min, lam_max = extreme_eigenvalues((u @ v.T).T @ (u @ v.T))
     assert lam_min == pytest.approx(1.0, abs=32 * EPS)
     assert lam_max == pytest.approx(1.0, abs=32 * EPS)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_extreme_eigenvalues_leaves_its_input_unchanged(order):
+    a = _planted_real(15, _cond_sv(15, 30.0), seed=3)
+    gram = np.asarray(a.T @ a, order=order)
+    before = gram.copy(order="K")
+    ends = extreme_eigenvalues(gram)
+    assert gram.tobytes(order="A") == before.tobytes(order="A")
+    assert gram.flags.c_contiguous == (order == "C")
+    assert ends == extreme_eigenvalues(before)
+
+
+def _random_real(cols, seed):
+    local = np.random.default_rng(seed)
+    return local.standard_normal((2 * cols + 3, cols))
+
+
+@pytest.mark.parametrize("cols", [1, 2, 15, 255])
+@pytest.mark.parametrize("system", ["random", "planted graded", "planted degenerate"])
+def test_gate_reduces_its_gram_in_place_to_the_ends_of_a_copy(monkeypatch, cols, system):
+    # the gate hands N's F-ordered transpose to dsytrd to overwrite; the
+    # ends are bit for bit those extreme_eigenvalues finds on a copy of N
+    a = (_random_real(cols, seed=cols) if system == "random" else
+         _planted_real(cols, _SPECTRA[system.split()[1]](cols), seed=cols))
+    seen = []
+    original = numkit._extreme_eigenvalues
+
+    def recording(s, overwrite):
+        in_place = s.flags.f_contiguous and overwrite
+        ends = original(s, overwrite)
+        seen.append((in_place, ends))
+        return ends
+
+    monkeypatch.setattr(numkit, "_extreme_eigenvalues", recording)
+    factor = normal_equations_factor(a, 1e-6)
+    monkeypatch.undo()
+    assert factor is not None
+    ends = extreme_eigenvalues(a.T @ a)
+    assert seen == [(True, ends)]
+    assert factor.condition_number == float(np.sqrt(ends[1] / ends[0]))
 
 
 @pytest.mark.parametrize("found, info", [(0, 2), (0, 4), (0, 0)])

@@ -11,8 +11,11 @@ prints the sha256 of the Q series (complex128 bytes), of the step CSV, of
 apply reads "-".  With `--against DIR` the same runs are repeated on the
 package in DIR/src, for example a checkout of the parent commit, and each
 configuration reads "equal" or "different"; a difference adds max |dQ|, the
-steps whose effective rank changed, and the MZ errors.  The exit status is 1
-if any configuration differs.
+steps whose effective rank changed, and the MZ errors.  A configuration
+that raises reads "error: <type>: <message>" in place of its digests (or,
+for the other tree, after "different: against:") and counts as different;
+the other configurations still run.  The exit status is 1 if any
+configuration differs or raises.
 
 Each tree runs in a worker process started with one BLAS thread, set in its
 environment before numpy is imported: rank-deficient results move with the
@@ -76,6 +79,9 @@ CONFIGS = {
     # the ell-sweep points of criteria 6 and 9
     **{f"sweep-coarse-ell{ell}": _delay(CRIT5, DT_COARSE, 2000, ell) for ell in (2, 4, 8, 16)},
     **{f"sweep-fine-ell{ell}": _delay(CRIT5, DT_FINE, 20000, ell) for ell in (20, 40, 80, 160)},
+    # one configuration: the trace fixes P, so the constrained solve has no column
+    "nc1": _delay((1, 1, 0, 2.0, 5), DT_COARSE, 100, 2),
+    "nc1-raw": _delay((1, 1, 0, 2.0, 5), DT_COARSE, 100, 2, mode="raw"),
     # ell 0 with the field on at every step
     "ell0-driven": _delay(CRIT5, DT_COARSE, 300, 0),
     "ell0-driven-raw": _delay(CRIT5, DT_COARSE, 300, 0, mode="raw"),
@@ -176,8 +182,12 @@ def _worker(src: str, out: str, names: list[str]):
     warnings.simplefilter("ignore", RuntimeWarning)
     for name in names:
         cfg = CONFIGS[name]
-        digests[name] = (_run_mz(name, cfg, out) if cfg["kind"] == "mz"
-                         else _run_delay(name, cfg, out, truths))
+        try:
+            digests[name] = (_run_mz(name, cfg, out) if cfg["kind"] == "mz"
+                             else _run_delay(name, cfg, out, truths))
+        except Exception as exc:  # reported as this configuration's result
+            message = " ".join(str(exc).split())
+            digests[name] = {"error": f"{type(exc).__name__}: {message}"}
     json.dump(digests, sys.stdout)
 
 
@@ -196,6 +206,12 @@ def _collect(proc: subprocess.Popen, tree: Path) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"fingerprint: the run on {tree} failed (exit {proc.returncode})")
     return json.loads(stdout)
+
+
+def _fields(digests: dict) -> str:
+    if "error" in digests:
+        return f"error: {digests['error']}"
+    return "  ".join(f"{f}={digests[f]}" for f in FIELDS)
 
 
 def describe_difference(name: str, ours: Path, theirs: Path) -> str:
@@ -240,13 +256,20 @@ def main(argv=None) -> int:
         digests = [_collect(proc, tree) for proc, tree in zip(runs, (ROOT, args.against))]
         differ = 0
         for name in names:
-            line = f"{name:22s} " + "  ".join(f"{f}={digests[0][name][f]}" for f in FIELDS)
+            mine = digests[0][name]
+            line = f"{name:22s} " + _fields(mine)
+            same = "error" not in mine
             if len(digests) == 2:
-                if digests[0][name] == digests[1][name]:
+                other = digests[1][name]
+                same = same and mine == other
+                if "error" in other:
+                    line += "  different: against: " + _fields(other)
+                elif same:
                     line += "  equal"
                 else:
-                    differ += 1
-                    line += "  different: " + describe_difference(name, ours, theirs)
+                    line += "  different" + ("" if "error" in mine else
+                                             ": " + describe_difference(name, ours, theirs))
+            differ += not same
             print(line, flush=True)
     if args.against is not None:
         print(f"{len(names) - differ} of {len(names)} configurations equal")
