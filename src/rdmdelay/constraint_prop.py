@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .ci_model import BTensor, CiSystem
-from .delay_core import DelayConfig, factor_least_squares
+from .delay_core import DelayConfig, factor_least_squares, warn_rank_deficient
 from .ground_truth import step_unitaries, step_unitary
 from .numkit import (
     LeastSquaresFactor,
@@ -273,7 +273,12 @@ def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float) -> Con
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Per-step diagnostics of the delay solve."""
+    """Per-step diagnostics of the delay solve: the solve's residual, rank
+    and condition number, tr Q(t+dt), max |Q - Q^dagger| of Q(t+dt)
+    (`numkit.hermiticity_defect`), and the least eigenvalue of P-hat, of
+    (P-hat + P-hat^dagger) / 2 in raw mode.  `DelayPropagator` computes
+    the last three for a chunk of steps at a time; each is bit for bit
+    what the step's matrix gives on its own."""
 
     step: int
     t: float
@@ -297,6 +302,11 @@ class StepRecord:
 # numpy copies that many blocks of the overlapping input, 0.16 MB at
 # N_C = 16, K = 4, in 8 calls at ell 32
 _REBUILD_CHUNK = 4
+
+# bytes of the copies of P-hat and Q(t+dt) that a propagator holds for the
+# diagnostics of the steps it has not yet recorded: 102 steps at N_C = 4,
+# K = 2, and 7 at N_C = 16, K = 4
+_PENDING_BYTES = 1 << 15
 
 
 class DelayPropagator:
@@ -340,6 +350,15 @@ class DelayPropagator:
     rows per block (`assemble_constrained_system`) in one pass instead of
     2 K^2: for Hermitian P and Q the dropped rows repeat the kept ones, so
     the least-squares objective is unchanged.
+
+    A step keeps its solve's residual, rank and condition number, and
+    copies of P-hat and Q(t+dt), as pending.  Their `StepRecord`s are made a
+    chunk at a time, by one stacked `np.linalg.eigvalsh`, trace and
+    `numkit.hermiticity_defect` each, when the chunk of `_PENDING_BYTES`
+    is full and whenever `records` is read; numpy applies each of these
+    to every matrix of a stack as to the matrix alone, so a record is the
+    same whenever it is made.  A step that raises records nothing, and a
+    `warm_start` keeps the pending steps.
     """
 
     def __init__(self, system: CiSystem, b: BTensor, cfg: DelayConfig, dt: float,
@@ -398,7 +417,37 @@ class DelayPropagator:
         self._last_e = None
         self._run = 0
         self._step_index = None
-        self.records: list[StepRecord] = []
+        # copies of the P-hat and Q(t+dt) of the steps not yet recorded, and
+        # of their (step, t, residual, rank, cond)
+        slots = max(1, _PENDING_BYTES // (16 * (n * n + k2)))
+        self._pending_p = np.empty((slots, n, n), dtype=complex)
+        self._pending_q = np.empty((slots, self.k_orb, self.k_orb), dtype=complex)
+        self._pending: list[tuple] = []
+        self._records: list[StepRecord] = []
+
+    @property
+    def records(self) -> list[StepRecord]:
+        """The `StepRecord` of every step so far, oldest first: the same
+        list, whose pending steps are recorded on reading."""
+        self._record_pending()
+        return self._records
+
+    def _record_pending(self):
+        """Append the records of the pending steps, whose diagnostics are
+        computed by one call each over their stacked matrices."""
+        count = len(self._pending)
+        if not count:
+            return
+        p, q = self._pending_p[:count], self._pending_q[:count]
+        # a constrained P-hat is exactly Hermitian: (P + P^dagger) / 2 is P bit for bit
+        if self.mode == "raw":
+            p = (p + p.conj().swapaxes(1, 2)) / 2
+        min_eig = np.linalg.eigvalsh(p).min(axis=1).tolist()
+        trace = np.trace(q, axis1=1, axis2=2).real.tolist()
+        defect = hermiticity_defect(q).tolist()
+        self._records.extend(StepRecord(*solve, *diagnostics) for solve, diagnostics
+                             in zip(self._pending, zip(trace, defect, min_eig)))
+        self._pending.clear()
 
     def _kept(self, vec_q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The kept, weighted rows of vec(Q) (last axis), into `out` if given."""
@@ -541,7 +590,8 @@ class DelayPropagator:
         p_next = e @ p_hat @ e.conj().T
         q_next_vec = self.b_tilde @ p_next.ravel(order="F")
         q_next = q_next_vec.reshape((self.k_orb, self.k_orb), order="F")
-        rank, cond = solved.effective_rank, solved.condition_number
+        pending = (self._step_index + 1, t, residual, solved.effective_rank,
+                   solved.condition_number)
         # advance history; past depth + 1 steps of one E, M stays as it is
         self._run = self._run + 1 if e is self._last_e else 1
         self._last_e = e
@@ -554,14 +604,13 @@ class DelayPropagator:
         self._q_hist[1:] = self._q_hist[:-1]
         self._kept(q_next_vec, out=self._q_hist[0])
         self._step_index += 1
-        # a constrained P-hat is exactly Hermitian: (P + P^dagger) / 2 is P bit for bit
-        p_sym = p_hat if self.mode == "constrained" else (p_hat + p_hat.conj().T) / 2
-        min_eig = float(np.linalg.eigvalsh(p_sym).min())
-        self.records.append(StepRecord(
-            step=self._step_index, t=t, residual=residual, effective_rank=rank,
-            condition_number=cond, trace_q=float(q_next.trace().real),
-            hermiticity_defect_q=hermiticity_defect(q_next),
-            min_eig_p=min_eig))
+        # copies: the caller owns q_next and last_p_hat
+        slot = len(self._pending)
+        self._pending_p[slot] = p_hat
+        self._pending_q[slot] = q_next
+        self._pending.append(pending)
+        if slot + 1 == len(self._pending_p):
+            self._record_pending()
         self.last_p_hat = p_hat
         return q_next
 
@@ -573,7 +622,10 @@ def run_delay_propagation(system: CiSystem, b: BTensor, dt: float, n_steps: int,
 
     `q_true` supplies at least the first ell*stride + 1 reference 1RDMs.
     Returns (q_series, records) with q_series[j] = Q(j dt) for j = 0..n_steps;
-    the warm-start segment is copied from the reference.
+    the warm-start segment is copied from the reference.  A run with a
+    rank-deficient step, one whose rank is below the count of unknowns
+    (the free coordinates, or N_C^2 in raw mode), emits one `RuntimeWarning`
+    for the run (`delay_core.warn_rank_deficient`).
     """
     depth = cfg.depth
     if n_steps < depth:
@@ -585,7 +637,10 @@ def run_delay_propagation(system: CiSystem, b: BTensor, dt: float, n_steps: int,
     series = [np.asarray(q_true[j], dtype=complex) for j in range(depth + 1)]
     for _ in range(n_steps - depth):
         series.append(prop.step())
-    return np.asarray(series), prop.records
+    records = prop.records
+    unknowns = prop.n_c ** 2 if mode == "raw" else len(prop.spec.kept_coords(prop.basis))
+    warn_rank_deficient([(r.step, r.effective_rank) for r in records], unknowns)
+    return np.asarray(series), records
 
 
 def suggest_zero_pattern(coefficients: np.ndarray, threshold: float = 1e-12) -> frozenset:

@@ -211,6 +211,22 @@ def build_M(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig) -> np.nda
     return np.vstack(blocks)
 
 
+def warn_rank_deficient(ranks: list[tuple[int, int]], unknowns: int) -> int:
+    """The one rank-deficiency warning of a run.  ranks holds each delay
+    step's (number, effective rank); a step is rank-deficient when its rank
+    is below the count of unknowns it solves for.  Emits one
+    `RuntimeWarning` naming how many steps were, the first of them and its
+    rank, or nothing if none was, and returns the count."""
+    deficient = [(step, rank) for step, rank in ranks if rank < unknowns]
+    if deficient:
+        step, rank = deficient[0]
+        warnings.warn(f"{len(deficient)} of {len(ranks)} delay steps were rank-deficient "
+                      f"(rank below the {unknowns} unknowns), the first step {step} with "
+                      f"rank {rank}; their reconstructions are least-squares",
+                      RuntimeWarning, stacklevel=3)
+    return len(deficient)
+
+
 @dataclass(frozen=True)
 class StepDiagnostics:
     effective_rank: int
@@ -241,9 +257,11 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
                 cfg: DelayConfig):
     """One step of the self-contained delay equation for y.
 
-    Returns (y(t+1), diagnostics).  Rank deficiency of M(t) is reported via
-    a warning and the diagnostics record, never a hard failure: the
+    Returns (y(t+1), diagnostics).  Rank deficiency of M(t) is reported in
+    the diagnostics record, never by a warning or a hard failure: the
     thresholded pseudoinverse still yields a least-squares reconstruction.
+    A caller that runs many steps warns once for all of them
+    (`warn_rank_deficient`).
     A failed SVD, or a non-finite z_hat or y(t+1), raises `NumericalError`
     naming the step and the stage (solve or propagation) where it appeared,
     and a non-finite or ill-conditioned propagator in M's window
@@ -289,13 +307,6 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
         z_hat = factor.solve(y_stack)
         residual = factor.residual(z_hat, y_stack)
         y_next = r.matrix @ (a_t @ z_hat)
-    deficient = rank < r.n
-    if deficient:
-        warnings.warn(
-            f"M(t) rank {rank} < state dimension {r.n}; reconstruction is least-squares",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     # 0 * y is 0 for finite y and NaN otherwise, so one product tests every
     # entry of y(t+1) = R A z_hat; a non-finite z_hat makes all of them
     # non-finite, and the stage is told apart only on failure
@@ -303,7 +314,7 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
         stage = "propagation" if np.isfinite(z_hat).all() else "solve"
         raise NumericalError(f"propagate_y: step {step}: the {stage} stage "
                              f"produced non-finite values")
-    return y_next, StepDiagnostics(rank, cond, residual, deficient)
+    return y_next, StepDiagnostics(rank, cond, residual, rank < r.n)
 
 
 def complete_reduction_basis(r: ReductionMap) -> np.ndarray:

@@ -35,6 +35,7 @@ from .delay_core import (
     complete_reduction_basis,
     mori_zwanzig_propagate,
     propagate_y,
+    warn_rank_deficient,
 )
 from .ground_truth import (
     eigenvalue_drift,
@@ -344,7 +345,9 @@ def mz_compare(dim: int, m_reduced: int, steps: int, seed: int = 0,
     first `m_reduced` coordinates, and propagates the reduced vector with
     both schemes against direct full-state propagation.  The delay scheme
     needs ell = max(dim // m_reduced - 1, 1) exact steps to fill its window,
-    so `steps` must be at least ell.
+    so `steps` must be at least ell.  The count of delay steps whose M(t)
+    has a rank below dim is returned as "delay_rank_deficient_steps"; if it
+    is not 0, one `RuntimeWarning` names it (`delay_core.warn_rank_deficient`).
     """
     if not 1 <= m_reduced < dim:
         raise ValidationError(f"need 1 <= m_reduced < dim, got m_reduced {m_reduced}, dim {dim}")
@@ -376,8 +379,10 @@ def mz_compare(dim: int, m_reduced: int, steps: int, seed: int = 0,
     for j in range(cfg.depth + 1):
         hist.push(a if j > 0 else None, direct[j])
     delay_traj = list(direct[:cfg.depth + 1])
+    ranks = []
     for j in range(cfg.depth, steps):
-        y_next, _ = propagate_y(hist, r, a, cfg)
+        y_next, diag = propagate_y(hist, r, a, cfg)
+        ranks.append((hist.pushes + 1, diag.effective_rank))  # propagate_y's step number
         delay_traj.append(y_next)
         hist.push(a, y_next)
     delay_err = float(np.linalg.norm(np.asarray(delay_traj) - direct, axis=1).max())
@@ -385,4 +390,5 @@ def mz_compare(dim: int, m_reduced: int, steps: int, seed: int = 0,
         "dim": dim, "m": m_reduced, "steps": steps, "diagonal": diagonal,
         "mz_max_error": mz_err, "mz_diverged": bool(diverged),
         "delay_max_error": delay_err, "delay_ell": ell,
+        "delay_rank_deficient_steps": warn_rank_deficient(ranks, dim),
     }

@@ -61,9 +61,16 @@ def is_unitary(a: np.ndarray) -> bool:
     return bool(defect <= 1e-10 * n)
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """max |A - A^dagger|, the absolute deviation from Hermitian symmetry."""
-    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+def hermiticity_defect(a: np.ndarray):
+    """max |A - A^dagger|, the absolute deviation from Hermitian symmetry:
+    a float for one matrix, or for a stack (..., n, n) an array of each
+    matrix's defect, bit for bit what the matrix gives alone.  A NaN entry
+    gives NaN, and an empty matrix 0."""
+    if not a.shape[-1]:
+        defect = np.zeros(a.shape[:-2])
+    else:
+        defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return float(defect) if a.ndim == 2 else defect
 
 
 def require_hermitian(a, rtol: float = 1e-12, name: str = "matrix") -> np.ndarray:
@@ -231,7 +238,9 @@ def normal_equations_factor(a: np.ndarray, r_tol: float) -> LeastSquaresFactor |
     end eigenvalues of N alone (`extreme_eigenvalues`), not from its full
     spectrum; every column is kept, so the rank is a.shape[1].  N is
     reduced to tridiagonal form in place, so a step holds N and its
-    Cholesky factor, never a third array of their size.
+    Cholesky factor, never a third array of their size.  N is formed from
+    a C-ordered copy of an a of any other layout, which the factor keeps,
+    so the result does not depend on a's memory layout.
     A non-finite entry of a raises `NumericalError`: it shows as a
     non-finite diagonal of N, which is checked before the gate.
     """
@@ -239,6 +248,11 @@ def normal_equations_factor(a: np.ndarray, r_tol: float) -> LeastSquaresFactor |
     cond_max = COND_MAX if r_tol >= TIGHT_R_TOL else COND_MAX_TIGHT
     if r_tol * cond_max > THRESHOLD_MARGIN:
         cond_max = THRESHOLD_MARGIN / r_tol
+    # a.T @ a of a C-ordered a is one syrk whose other triangle numpy fills
+    # by copying, so N is exactly symmetric, as the reduction below needs;
+    # for another layout the two triangles can differ by rounding.  The
+    # constrained step's A is C-ordered, so it is not copied
+    a = np.ascontiguousarray(a)
     # an overflow is routed to the pseudoinverse by the diagonal check below
     with np.errstate(over="ignore", invalid="ignore"):
         gram = a.T @ a
@@ -259,10 +273,7 @@ def normal_equations_factor(a: np.ndarray, r_tol: float) -> LeastSquaresFactor |
     if diag_max > cond_max ** 2 * factor.diagonal().min() ** 2:
         return None
     # N's transpose is F-ordered as LAPACK wants it, so dsytrd overwrites it
-    # without a copy, reading N's upper triangle.  For a C-ordered a, such as
-    # the constrained step's, a.T @ a is one syrk whose other triangle numpy
-    # fills by copying, so that triangle is N's lower one bit for bit; for
-    # other layouts the two can differ by rounding
+    # without a copy, reading N's upper triangle, which is its lower one
     ends = _extreme_eigenvalues(gram.T, overwrite=True)
     if ends is None:
         return None

@@ -1,5 +1,6 @@
 import contextlib
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -115,11 +116,13 @@ def test_propagate_y_matches_full_state_oracle():
     assert not diag.rank_deficient
 
 
-def test_propagate_y_warns_when_rank_deficient():
+@pytest.mark.filterwarnings("error")
+def test_propagate_y_reports_rank_deficiency_without_a_warning():
+    # a run of steps warns once, from its caller (warn_rank_deficient)
     r, hist, _, _, local = _random_history(6, 2, 1, seed=4)
     a = random_unitary(6, local)
-    with pytest.warns(RuntimeWarning):
-        propagate_y(hist, r, a, DelayConfig(ell=1))
+    _, diag = propagate_y(hist, r, a, DelayConfig(ell=1))
+    assert diag.rank_deficient and diag.effective_rank < 6
 
 
 @pytest.mark.filterwarnings("error")
@@ -252,11 +255,12 @@ def test_propagate_y_reuses_the_pseudoinverse_while_m_is_unchanged(monkeypatch):
     assert len(calls) == 40 + 1  # one per fresh buffer, one for `hist`
     # another r_tol on the same M is solved afresh
     loose = DelayConfig(cfg.ell, r_tol=0.5)
-    with pytest.warns(RuntimeWarning, match="rank"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         y_ref, diag_ref = propagate_y(_copied_history(hist), r, a, loose)
         y, diag = propagate_y(hist, r, a, loose)
     assert y.tobytes() == y_ref.tobytes() and diag == diag_ref
-    assert diag.effective_rank < n
+    assert diag.rank_deficient and diag.effective_rank < n
 
 
 @contextlib.contextmanager
@@ -376,7 +380,6 @@ def _memory_case(kind):
     return r, [random_unitary(n, local) for _ in range(1 + steps)], DelayConfig(ell=1)
 
 
-@pytest.mark.filterwarnings("ignore:M\\(t\\) rank:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["dense constant", "distinct", "invertible", "ell 0",
                                   "ell 1"])
 def test_slid_memory_matches_build_M_at_every_step(kind):
@@ -482,7 +485,6 @@ def test_ill_conditioned_propagator_after_slid_steps_raises_at_the_next_call():
         propagate_y(hist, r, bad, cfg)
 
 
-@pytest.mark.filterwarnings("ignore:M\\(t\\) rank:RuntimeWarning")
 def test_constant_window_is_reused_until_the_propagator_changes():
     # mz_compare's case: a constant dense unitary and coordinate rows
     local = np.random.default_rng(46)
@@ -520,7 +522,6 @@ _OPS = ("push same", "push copy", "push unitary", "push invertible", "call", "ca
         "call loose", "call copied r")
 
 
-@pytest.mark.filterwarnings("ignore:M\\(t\\) rank:RuntimeWarning")
 @settings(max_examples=200)
 @given(ell=st.integers(0, 3), stride=st.integers(1, 2), spare=st.integers(0, 2),
        ops=st.lists(st.sampled_from(_OPS), max_size=20), seed=st.integers(0, 2**32 - 1))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,20 @@ def test_mz_compare_diagonal_both_match_direct():
     assert out["delay_max_error"] < 1e-8
 
 
+def test_mz_compare_warns_once_for_its_rank_deficient_steps():
+    # the diagonal unitary leaves M(t) (4 x 4 at ell 1) rank-deficient on
+    # every one of the 49 delay steps; the run warns once for all of them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = mz_compare(4, 2, 50, seed=1)
+    assert out["delay_rank_deficient_steps"] == 49
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert str(caught[0].message).startswith(
+        "49 of 49 delay steps were rank-deficient (rank below the 4 unknowns), "
+        "the first step 2 with rank 2;")
+
+
+@pytest.mark.filterwarnings("error")
 def test_mz_compare_dense_delay_scheme_stays_exact():
     out = mz_compare(6, 3, 100, seed=2, diagonal=False)
     assert out["delay_max_error"] < 1e-8

@@ -350,6 +350,26 @@ def test_gate_reduces_its_gram_in_place_to_the_ends_of_a_copy(monkeypatch, cols,
     assert factor.condition_number == float(np.sqrt(ends[1] / ends[0]))
 
 
+def test_the_factor_does_not_depend_on_the_layout_of_a(monkeypatch):
+    # a column-strided a gets the factor of its C-ordered copy, from a Gram
+    # matrix N that is exactly symmetric, as the in-place reduction needs
+    strided = np.random.default_rng(700).standard_normal((700, 600))[:, ::2]
+    symmetric = []
+    original = numkit._extreme_eigenvalues
+
+    def recording(s, overwrite):
+        symmetric.append(np.array_equal(s, s.T))
+        return original(s, overwrite)
+
+    monkeypatch.setattr(numkit, "_extreme_eigenvalues", recording)
+    factor = normal_equations_factor(strided, 1e-12)
+    monkeypatch.undo()
+    copy = normal_equations_factor(np.ascontiguousarray(strided), 1e-12)
+    assert symmetric == [True]
+    assert factor.condition_number == copy.condition_number
+    assert factor.cholesky.tobytes() == copy.cholesky.tobytes()
+
+
 @pytest.mark.parametrize("found, info", [(0, 2), (0, 4), (0, 0)])
 def test_failed_bisection_takes_the_whole_tridiagonal_spectrum(monkeypatch, found, info):
     a = _planted_real(15, _cond_sv(15, 30.0), seed=6)

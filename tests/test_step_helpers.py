@@ -8,7 +8,6 @@ residual, the symmetrised P-hat of the diagnostics, `np.trace` and `np.max`.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +120,20 @@ def test_hermiticity_defect_keeps_its_value():
     assert np.isnan(hermiticity_defect(a))
 
 
+def test_stacked_hermiticity_defect_is_each_matrix_alone():
+    local = np.random.default_rng(4)
+    for n in (1, 2, 4, 16):
+        stack = local.standard_normal((5, n, n)) + 1j * local.standard_normal((5, n, n))
+        stack[1] = (stack[1] + stack[1].conj().T) / 2  # Hermitian: 0.0
+        stack[2, 0, -1] = np.nan
+        defect = hermiticity_defect(stack)
+        assert defect.shape == (5,) and defect[1] == 0.0 and np.isnan(defect[2])
+        alone = [hermiticity_defect(a) for a in stack[[0, 1, 3, 4]]]
+        assert _same_bits(np.delete(defect, 2), alone)
+    assert _same_bits(hermiticity_defect(np.zeros((3, 0, 0))), np.zeros(3))
+    assert hermiticity_defect(np.zeros((0, 0))) == 0.0
+
+
 def _criterion8_system():
     """Criterion 8's constrained system: configuration 4 never couples."""
     local = np.random.default_rng(2)
@@ -136,7 +149,8 @@ def _criterion8_system():
 
 # (system, dt, n_steps, ell, mode, zero pairs): criterion 5 past its field
 # cutoff at step 423, so that reused steps are checked too; criterion 8's
-# constrained run; criterion 8's rank-deficient raw run
+# constrained run; criterion 8's rank-deficient raw run; and the first two
+# cut short, so that they end inside the first chunk of pending records
 RUNS = {
     "crit5": (lambda: generate_synthetic_system(4, 2, seed=3), DT_COARSE, 520, 20,
               "constrained", frozenset()),
@@ -144,27 +158,41 @@ RUNS = {
                           frozenset({(3, j) for j in range(4)})),
     "crit8-raw": (lambda: generate_synthetic_system(4, 2, seed=3), DT_FINE, 2000, 3, "raw",
                   frozenset()),
+    "crit5-short": (lambda: generate_synthetic_system(4, 2, seed=3), DT_COARSE, 70, 20,
+                    "constrained", frozenset()),
+    "crit8-constrained-short": (_criterion8_system, DT_COARSE, 50, 8, "constrained",
+                                frozenset({(3, j) for j in range(4)})),
+    "crit8-raw-short": (lambda: generate_synthetic_system(4, 2, seed=3), DT_FINE, 60, 3,
+                        "raw", frozenset()),
 }
 
 
 @pytest.mark.parametrize("run", list(RUNS))
 def test_step_diagnostics_match_the_symmetrised_formulas(run):
+    # `records` read after every step records each step on its own; a
+    # second propagator, read once at the end, records its steps a chunk
+    # at a time, and both give the same list
     make, dt, n_steps, ell, mode, zeros = RUNS[run]
     system = make()
     b = build_B(system)
     q_true = reduced_density_series(propagate_coefficients(system, dt, n_steps), b)
     cfg = DelayConfig(ell=ell)
-    prop = DelayPropagator(system, b, cfg, dt, mode=mode,
-                           spec=ConstraintSpec(system.n_configs, 1.0, zeros))
-    prop.warm_start(q_true[:cfg.depth + 1])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for _ in range(n_steps - cfg.depth):
-            q = prop.step()
-            p, rec = prop.last_p_hat, prop.records[-1]
-            assert rec.min_eig_p == float(np.linalg.eigvalsh((p + p.conj().T) / 2).min())
-            assert rec.trace_q == float(np.trace(q).real)
-            assert rec.hermiticity_defect_q == float(np.max(np.abs(q - q.conj().T)))
+    every, once = (DelayPropagator(system, b, cfg, dt, mode=mode,
+                                   spec=ConstraintSpec(system.n_configs, 1.0, zeros))
+                   for _ in range(2))
+    for prop in (every, once):
+        prop.warm_start(q_true[:cfg.depth + 1])
+    n_delay, slots = n_steps - cfg.depth, len(once._pending_p)
+    assert n_delay < slots if run.endswith("-short") else n_delay > 2 * slots
+    assert n_delay % slots
+    for _ in range(n_delay):
+        q = every.step()
+        p, rec = every.last_p_hat, every.records[-1]
+        assert rec.min_eig_p == float(np.linalg.eigvalsh((p + p.conj().T) / 2).min())
+        assert rec.trace_q == float(np.trace(q).real)
+        assert rec.hermiticity_defect_q == float(np.max(np.abs(q - q.conj().T)))
+        once.step()
+    assert once.records == every.records and len(once.records) == n_delay
 
 
 def test_assembly_without_out_matches_the_propagator():

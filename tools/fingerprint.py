@@ -85,6 +85,12 @@ CONFIGS = {
     # ell 0 with the field on at every step
     "ell0-driven": _delay(CRIT5, DT_COARSE, 300, 0),
     "ell0-driven-raw": _delay(CRIT5, DT_COARSE, 300, 0, mode="raw"),
+    # a propagator at N_C = 4, K = 2 records its steps 102 at a time
+    # (constraint_prop._PENDING_BYTES): runs that end on a chunk's last step
+    # and one step past it
+    **{f"chunk-edge{'+1' * past}{'-raw' * (mode == 'raw')}":
+       _delay(CRIT5, DT_COARSE, 8 + 102 + past, 8, mode=mode)
+       for past in (0, 1) for mode in ("constrained", "raw")},
     # criterion 10's mz_compare cases, and the benchmark's mz-dense size
     "mz-diag": _mz(8, 200, True),
     "mz-dense": _mz(8, 200, False),
@@ -178,7 +184,8 @@ def _run_mz(name, cfg, out: Path):
 def _worker(src: str, out: str, names: list[str]):
     sys.path.insert(0, src)
     out, truths, digests = Path(out), {}, {}
-    # propagate_y warns on every rank-deficient step; nothing here reads warnings
+    # rank-deficient runs warn (once per run, or on every propagate_y step
+    # in older trees); nothing here reads warnings
     warnings.simplefilter("ignore", RuntimeWarning)
     for name in names:
         cfg = CONFIGS[name]
