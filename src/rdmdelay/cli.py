@@ -36,9 +36,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_common(p, system=True):
-    if system:
-        p.add_argument("--system", required=True, help="system definition JSON")
+def _add_common(p):
+    p.add_argument("--system", required=True, help="system definition JSON")
     p.add_argument("--dt", type=float, default=0.08268, help="time step (a.u.)")
     p.add_argument("--steps", type=int, default=2000, help="number of steps")
     p.add_argument("--out", default="out", help="output directory")

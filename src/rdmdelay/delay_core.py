@@ -33,12 +33,15 @@ from .numkit import (
 
 @dataclass(frozen=True)
 class ReductionMap:
-    """Full-row-rank m x n reduction matrix R (m <= n)."""
+    """Full-row-rank m x n reduction matrix R (m <= n), kept as a read-only
+    complex copy: `propagate_y` keys its memo on the map's identity, so R
+    must not change after construction."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        r = as_complex_matrix(self.matrix, "R")
+        r = as_complex_matrix(np.array(self.matrix, dtype=complex), "R")
+        r.flags.writeable = False
         object.__setattr__(self, "matrix", r)
         s = np.linalg.svd(r, compute_uv=False)
         if s[-1] <= 1e-12 * s[0]:
@@ -90,15 +93,13 @@ def factor_least_squares(a: np.ndarray, r_tol: float) -> LeastSquaresFactor:
 
 
 class KeptMemory(NamedTuple):
-    """M(t) of a `propagate_y` call, the map it was built for, and its factor."""
+    """The factor of M(t) that a `propagate_y` call used, and the map and
+    configuration it was formed for; M(t) itself is ``factor.a``."""
 
     r: ReductionMap  # compared by identity
-    ell: int
-    stride: int
-    pushes: int  # `HistoryBuffer.pushes` when m was last found current
-    m: np.ndarray
-    r_tol: float | None
-    factor: LeastSquaresFactor | None  # of m at r_tol
+    cfg: DelayConfig
+    pushes: int  # `HistoryBuffer.pushes` when M was last found current
+    factor: LeastSquaresFactor
 
 
 @dataclass
@@ -110,10 +111,11 @@ class HistoryBuffer:
     depth+1 respectively.  `push` keeps every propagator, and every reduced
     vector, the shape of the first; ``pushes`` counts the propagators
     pushed, and ``run_start`` is the count at which the newest run of
-    bitwise-equal propagators began.  ``memory`` is the M(t) of the last
-    `propagate_y` call and its factor, which later calls reuse while M's
-    window is unchanged (see there).  That reuse and `build_M` read
-    ``run_start``, so change the history only through `push`.
+    bitwise-equal propagators began.  ``memory`` holds the factor of the
+    M(t) of the last `propagate_y` call, which later calls reuse while the
+    map, the configuration and M's window are unchanged (see there).  That
+    reuse and `build_M` read ``run_start``, so change the history only
+    through `push`.
     """
 
     depth: int
@@ -179,12 +181,13 @@ def build_M(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig) -> np.nda
     """Stacked observation operator with stride.
 
     Block j (j = 0..ell) is R times the product of back-steps carrying z(t)
-    to z(t - j*k); block 0 is R itself.  At stride k > 1, a window that is
-    one run of bitwise-equal propagators (``history.run_start``) steps back
-    k steps at once, by the k-th power of its one back-step formed by
-    repeated squaring: O(log k + ell) products instead of ell * k, equal to
-    the step-by-step product up to rounding.  At stride 1 every block needs
-    every product, so the window is stepped back one propagator at a time.
+    to z(t - j*k); block 0 is R itself.  A window that is one run of
+    bitwise-equal propagators (``history.run_start``) steps back k steps at
+    once, by the k-th power of its one back-step formed by repeated
+    squaring: O(log k + ell) products instead of ell * k, equal to the
+    step-by-step product up to rounding, and bit for bit at stride 1, where
+    the power is the back-step itself.  Every other window is stepped back
+    one propagator at a time.
     """
     need = cfg.depth
     if len(history.propagators) < need:
@@ -194,7 +197,7 @@ def build_M(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig) -> np.nda
         )
     blocks = [r.matrix]
     back = np.eye(r.n, dtype=complex)
-    if cfg.stride > 1 and need and history.run_start <= history.pushes - need + 1:
+    if need and history.run_start <= history.pushes - need + 1:
         jump = np.linalg.matrix_power(_back_step(history.propagators[-1]), cfg.stride)
         for _ in range(cfg.ell):
             back = jump @ back
@@ -202,10 +205,7 @@ def build_M(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig) -> np.nda
         return np.vstack(blocks)
     props = list(history.propagators)
     for m in range(1, need + 1):
-        # a window of one repeated array forms its back-step once
-        if m == 1 or props[-m] is not props[1 - m]:
-            step = _back_step(props[-m])
-        back = step @ back
+        back = _back_step(props[-m]) @ back
         if m % cfg.stride == 0:
             blocks.append(r.matrix @ back)
     return np.vstack(blocks)
@@ -235,24 +235,6 @@ class StepDiagnostics:
     rank_deficient: bool
 
 
-def _memory_matrix(history: HistoryBuffer, r: ReductionMap, cfg: DelayConfig) -> KeptMemory:
-    """M(t) for `propagate_y` as a record, which the caller keeps on the history.
-
-    The kept record is reused while M's window is unchanged: the same r (by
-    identity), ell and stride, and no push since it was built, or ell 0,
-    whose M reads no propagator, or a run of bitwise-equal propagators
-    (``history.run_start``) that began at or before the first propagator of
-    the kept window.  Otherwise `build_M` forms M.  Either way M is bitwise
-    what `build_M` gives on this history.
-    """
-    kept = history.memory
-    if (kept is not None and kept.r is r and (kept.ell, kept.stride) == (cfg.ell, cfg.stride)
-            and (kept.pushes == history.pushes or cfg.depth == 0
-                 or history.run_start <= kept.pushes - cfg.depth + 1)):
-        return kept
-    return KeptMemory(r, cfg.ell, cfg.stride, history.pushes, build_M(history, r, cfg), None, None)
-
-
 def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
                 cfg: DelayConfig):
     """One step of the self-contained delay equation for y.
@@ -270,11 +252,15 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
     history of y(0)..y(t), as `DelayPropagator.step` numbers its steps.  An
     a_t, or a history, whose shapes do not match r raises `ValidationError`.
 
-    M(t) and its factor are kept on the history and reused while M's window
-    of propagators is unchanged (`_memory_matrix`); the factor is formed
-    again when r_tol changes.  M(t) depends only on r, ell, stride and that
-    window, so every output is bitwise what the same call gives on a new
-    `HistoryBuffer` with the same contents.
+    The factor of M(t) is kept on the history (``history.memory``) and
+    reused while these all hold: the same r (by identity), an equal cfg,
+    and M's window unchanged, that is no push since it was last used, or
+    ell 0, whose M reads no propagator, or a run of bitwise-equal
+    propagators (``history.run_start``) that began at or before the first
+    propagator of the kept window.  Otherwise `build_M` forms M and
+    `factor_least_squares` factors it.  M(t) depends only on r, ell, stride
+    and that window, so every output is bitwise what the same call gives on
+    a new `HistoryBuffer` with the same contents.
     """
     a_t = as_complex_matrix(a_t, "A(t)")
     if a_t.shape != (r.n, r.n):
@@ -287,15 +273,20 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
         raise ValidationError(f"the history's reduced vectors have shape "
                               f"{history.reduced[-1].shape}, but r has m = {r.m}")
     step = history.pushes + 1
-    try:
-        kept = _memory_matrix(history, r, cfg)
-    except NumericalError as exc:
-        raise NumericalError(f"propagate_y: step {step}: the memory-matrix stage "
-                             f"failed: {exc}") from exc
-    y_stack = history.stacked_reduced(cfg)
-    if kept.r_tol != cfg.r_tol:
+    kept = history.memory
+    reuse = (kept is not None and kept.r is r and kept.cfg == cfg
+             and (kept.pushes == history.pushes or cfg.depth == 0
+                  or history.run_start <= kept.pushes - cfg.depth + 1))
+    if not reuse:
         try:
-            kept = kept._replace(r_tol=cfg.r_tol, factor=factor_least_squares(kept.m, cfg.r_tol))
+            m = build_M(history, r, cfg)
+        except NumericalError as exc:
+            raise NumericalError(f"propagate_y: step {step}: the memory-matrix stage "
+                                 f"failed: {exc}") from exc
+    y_stack = history.stacked_reduced(cfg)
+    if not reuse:
+        try:
+            kept = KeptMemory(r, cfg, history.pushes, factor_least_squares(m, cfg.r_tol))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"propagate_y: step {step}: the solve stage "
                                  f"failed: {exc}") from exc
@@ -323,9 +314,7 @@ def complete_reduction_basis(r: ReductionMap) -> np.ndarray:
     Stacking [R; Rtilde] gives an invertible n x n matrix; for orthonormal-row
     R the stack is unitary.
     """
-    _, s, vh = np.linalg.svd(r.matrix, full_matrices=True)
-    if s[-1] <= 1e-12 * s[0]:
-        raise ValidationError("R is rank deficient")
+    _, _, vh = np.linalg.svd(r.matrix, full_matrices=True)
     return vh[r.m:, :]
 
 

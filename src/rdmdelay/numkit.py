@@ -86,9 +86,7 @@ def require_hermitian(a, rtol: float = 1e-12, name: str = "matrix") -> np.ndarra
     # a NaN defect compares False against the tolerance below
     if not np.isfinite(a).all():
         raise ValidationError(f"{name} has non-finite entries")
-    axes = (-2, -1)
-    if np.any(np.abs(a - a.swapaxes(*axes).conj()).max(axis=axes)
-              > rtol * np.maximum(np.abs(a).max(axis=axes), 1.0)):
+    if np.any(hermiticity_defect(a) > rtol * np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)):
         raise ValidationError(f"{name} is not Hermitian within {rtol:g} (relative)")
     return a
 

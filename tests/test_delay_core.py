@@ -353,7 +353,7 @@ def _memory_pairs(r, props, cfg):
     pairs = []
     for a in props[cfg.depth:]:
         propagate_y(hist, r, a, cfg)
-        pairs.append((hist.memory.m, build_M(hist, r, cfg)))
+        pairs.append((hist.memory.factor.a, build_M(hist, r, cfg)))
         z = a @ z
         hist.push(a, r.matrix @ z)
     return pairs
@@ -408,7 +408,7 @@ def _stepped_history(n=6, m_rows=2, ell=2, steps=5, seed=43, capacity=None):
 
 
 def _rebuilt(hist, r, cfg):
-    return hist.memory.m.tobytes() == build_M(hist, r, cfg).tobytes()
+    return hist.memory.factor.a.tobytes() == build_M(hist, r, cfg).tobytes()
 
 
 def test_two_pushes_rebuild_the_memory():
@@ -659,11 +659,15 @@ def test_near_identity_propagators_need_stride():
     assert rank_strided == n
 
 
-@pytest.mark.parametrize("copies", [False, True], ids=["same array", "bitwise copies"])
-def test_one_run_window_steps_back_a_stride_at_once(monkeypatch, copies):
+@pytest.mark.parametrize("copies, stride", [(False, 10), (True, 10), (False, 1), (True, 1)],
+                         ids=["same array", "bitwise copies", "same array, stride 1",
+                              "bitwise copies, stride 1"])
+def test_one_run_window_steps_back_a_stride_at_once(monkeypatch, copies, stride):
     # a window of one repeated unitary at stride 10 steps back by its tenth
-    # power, formed by repeated squaring, not by ten products per block
-    n, stride, ell = 6, 10, 3
+    # power, formed by repeated squaring, not by ten products per block; at
+    # stride 1 the power is the one back-step, and M is the step-by-step
+    # product bit for bit
+    n, ell = 6, 3
     local = np.random.default_rng(47)
     r = ReductionMap(local.standard_normal((2, n)) + 1j * local.standard_normal((2, n)))
     a = random_unitary(n, local)
@@ -686,7 +690,30 @@ def test_one_run_window_steps_back_a_stride_at_once(monkeypatch, copies):
     monkeypatch.setattr(delay_core, "_back_step", counting)
     m = build_M(hist, r, DelayConfig(ell=ell, stride=stride))
     assert np.abs(m - expect).max() <= 1e-13 * np.abs(expect).max()
+    assert stride > 1 or m.tobytes() == expect.tobytes()
     assert calls == {"_back_step": 1}
+
+
+def test_reduction_map_keeps_its_own_read_only_copy():
+    # propagate_y keys its kept M on r's identity, so R must not change
+    # under it: a caller's edit of the array it passed in reaches no r
+    n, m_rows, ell = 6, 2, 2
+    local = np.random.default_rng(48)
+    given_r = local.standard_normal((m_rows, n)) + 1j * local.standard_normal((m_rows, n))
+    r = ReductionMap(given_r)
+    before = r.matrix.copy()
+    a = random_unitary(n, local)
+    z = local.standard_normal(n) + 1j * local.standard_normal(n)
+    hist, z = _filled_history(r, [a] * ell, ell, z)
+    y, _ = propagate_y(hist, r, a, DelayConfig(ell=ell))
+    given_r[:] = local.standard_normal((m_rows, n))
+    assert r.matrix.tobytes() == before.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        r.matrix[0, 0] = 1.0
+    z = a @ z
+    hist.push(a, r.matrix @ z)
+    y_next, _ = propagate_y(hist, r, a, DelayConfig(ell=ell))
+    assert np.max(np.abs(y_next - r.matrix @ (a @ z))) < 1e-12
 
 
 def test_complete_reduction_basis_coordinate_projection():

@@ -22,6 +22,21 @@ def test_fingerprint_of_one_configuration_equals_itself():
     assert total == "1 of 1 configurations equal"
 
 
+def test_generic_engine_configurations_digest_y_and_the_step_rows():
+    names = ["y-copies-k3", "y-switch"]
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "fingerprint.py"), "--only", *names,
+         "--against", str(ROOT)], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    *lines, total = done.stdout.splitlines()
+    for line, name in zip(lines, names, strict=True):
+        digests = dict(re.findall(r"(\w+)=([0-9a-f]{64}|-)", line))
+        assert line.startswith(name + " ") and line.endswith("  equal")
+        assert len(digests["q"]) == len(digests["csv"]) == 64
+        assert digests["summary"] == digests["mz"] == "-"
+    assert total == "2 of 2 configurations equal"
+
+
 def test_a_difference_reports_max_dq_and_the_changed_ranks(tmp_path):
     import importlib.util
 

@@ -1,0 +1,99 @@
+"""Metamorphic relations of `DelayPropagator`, from the paper's claim that
+the B tensor holds regardless of basis set or choice of Slater determinants.
+
+- Relabelling the CI basis (permuting h0_diag, m_dip, the rows of
+  c_matrix and a0) must reproduce the delay Q.
+- Conjugating the system (H -> -conj(H), C -> conj(C), a0 -> conj(a0))
+  must give conj(Q).
+
+Each relation runs the whole pipeline on both sides: `build_B`, the
+ground-truth warm start, the memory, the assembly with its pivot (which
+relabelling moves to another configuration), the gate, reuse past the
+field cutoff and the push.  Both hold only up to rounding, which a solve
+amplifies by its condition number, so Q is compared to 1e-13 times the
+largest cond of the three runs (about 450 eps cond; the worst of 60
+random draws on criterion 5's system read 34 eps cond).  Only full-rank
+configurations are drawn: at a rank-deficient step a moved pivot changes
+the minimum-norm solution, so the relations need not hold there.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rdmdelay import (
+    CiSystem,
+    DelayConfig,
+    FieldProfile,
+    build_B,
+    generate_synthetic_system,
+    propagate_coefficients,
+    reduced_density_series,
+)
+from rdmdelay.constraint_prop import run_delay_propagation
+
+DT_COARSE = 0.08268
+DT_FINE = 0.008268
+
+
+def _relabelled(system, perm):
+    """The same system with CI configuration perm[i] renamed i."""
+    return CiSystem(system.n_electrons, system.n_orbitals, system.c_matrix[perm],
+                    system.index_map, system.h0_diag[perm], system.m_dip[np.ix_(perm, perm)],
+                    system.field)
+
+
+def _conjugated(system):
+    """The system whose H(t) is -conj(H(t)) and whose C is conj(C): its
+    coefficients are the conjugates of the original's."""
+    return CiSystem(system.n_electrons, system.n_orbitals, system.c_matrix.conj(),
+                    system.index_map, -system.h0_diag, -system.m_dip.conj(), system.field)
+
+
+def _delay_q(system, a0, dt, cfg, steps, mode):
+    """Q of a run `steps` steps past its warm start, and its steps' largest cond."""
+    b = build_B(system)
+    n_steps = cfg.depth + steps
+    q_true = reduced_density_series(propagate_coefficients(system, dt, n_steps, a0=a0), b)
+    q, records = run_delay_propagation(system, b, dt, n_steps, cfg, q_true, mode=mode)
+    unknowns = system.n_configs ** 2 - (mode == "constrained")
+    assert [r.effective_rank for r in records] == [unknowns] * steps  # full rank only
+    return q, max(r.condition_number for r in records)
+
+
+def _assert_relations(system, a0, dt, cfg, steps, mode, perm):
+    q, cond = _delay_q(system, a0, dt, cfg, steps, mode)
+    q_relabelled, cond_relabelled = _delay_q(_relabelled(system, perm), a0[perm], dt, cfg,
+                                             steps, mode)
+    q_conjugated, cond_conjugated = _delay_q(_conjugated(system), a0.conj(), dt, cfg, steps,
+                                             mode)
+    tol = 1e-13 * max(cond, cond_relabelled, cond_conjugated)
+    assert np.abs(q_relabelled - q).max() <= tol
+    assert np.abs(q_conjugated - q.conj()).max() <= tol
+
+
+def _unit(local, n):
+    a0 = local.standard_normal(n) + 1j * local.standard_normal(n)
+    return a0 / np.linalg.norm(a0)
+
+
+@settings(max_examples=16, derandomize=True)
+@given(seed=st.sampled_from([2, 3, 4, 6, 13, 14]), ell=st.integers(7, 10),
+       stride=st.integers(1, 3), r_tol=st.sampled_from([1e-12, 1e-6]),
+       mode=st.sampled_from(["constrained", "raw"]), perm=st.permutations(range(4)))
+def test_relabelling_and_conjugation_reproduce_q(seed, ell, stride, r_tol, mode, perm):
+    # N_C = 4 systems that stay full rank at these ell, strides and r_tol;
+    # a one-cycle field ends at step 84, so the last steps reuse their solve
+    system = generate_synthetic_system(4, 2, seed=seed, field=FieldProfile(0.5, 0.9, 1))
+    a0 = _unit(np.random.default_rng((seed, 1)), 4)
+    _assert_relations(system, a0, DT_COARSE, DelayConfig(ell, stride, r_tol), 150, mode,
+                      np.array(perm))
+
+
+def test_relations_hold_at_n_c_16_stride_8():
+    # the nc16-ell32-k8 benchmark workload's system, on a short horizon
+    system = generate_synthetic_system(16, 4, seed=5, h0_scale=10.0)
+    local = np.random.default_rng(11)
+    a0 = _unit(local, 16)
+    _assert_relations(system, a0, DT_FINE, DelayConfig(32, 8, 1e-6), 10, "constrained",
+                      local.permutation(16))

@@ -4,9 +4,12 @@
     python tools/fingerprint.py --against OTHER_TREE  # and compare with it
     python tools/fingerprint.py --only ell0-driven ell0-driven-raw
 
-Each delay configuration runs `harness.run_experiment` with artifacts on, and
-each Mori-Zwanzig one runs `harness.mz_compare`.  For every configuration it
-prints the sha256 of the Q series (complex128 bytes), of the step CSV, of
+Each delay configuration runs `harness.run_experiment` with artifacts on,
+each Mori-Zwanzig one runs `harness.mz_compare`, and each generic-engine one
+("y-...") steps `delay_core.propagate_y` on its own history, pushing each
+predicted y.  For every configuration it prints the sha256 of the Q series
+(complex128 bytes; for a generic-engine run, the y series), of the step CSV
+(for a generic-engine run, each call's rank, cond and residual), of
 `summary.json` and of the two MZ errors (`float.hex`); a field that does not
 apply reads "-".  With `--against DIR` the same runs are repeated on the
 package in DIR/src, for example a checkout of the parent commit, and each
@@ -56,6 +59,15 @@ def _mz(dim, steps, diagonal, truncate=False):
     return dict(kind="mz", dim=dim, steps=steps, diagonal=diagonal, truncate=truncate)
 
 
+def _y(props, ell, stride=1, switch=False):
+    """propagate_y at n 8, m 2 for 60 steps on `props`: "distinct" random
+    unitaries, "one" unitary pushed as the same array or as bitwise "copies",
+    or distinct "invertible" ones that are not unitary.  With `switch`, r_tol
+    goes from 1e-12 to 0.1 halfway (M's rank drops from 8 to 7), and every
+    tenth step calls twice without a push."""
+    return dict(kind="y", props=props, ell=ell, stride=stride, switch=switch)
+
+
 CONFIGS = {
     # the benchmark's delay workloads (criterion 7 draws a0 from seed 11)
     "nc4-ell20": _delay((4, 2, 3, 2.0, 1), DT_COARSE, 400, 20),
@@ -96,6 +108,14 @@ CONFIGS = {
     "mz-dense": _mz(8, 200, False),
     "mz-dense-truncated": _mz(8, 200, False, truncate=True),
     "mz-dense16": _mz(16, 200, False),
+    # the generic engine beyond mz_compare's one unitary at stride 1
+    "y-distinct-k1": _y("distinct", 3),
+    "y-distinct-k2": _y("distinct", 3, 2),
+    "y-one-k3": _y("one", 3, 3),
+    "y-copies-k3": _y("copies", 3, 3),
+    "y-invertible": _y("invertible", 3),
+    "y-ell0": _y("distinct", 0),
+    "y-switch": _y("one", 3, switch=True),
 }
 
 
@@ -181,6 +201,55 @@ def _run_mz(name, cfg, out: Path):
             "mz": _digest(" ".join(float(e).hex() for e in errors).encode())}
 
 
+def _run_y(name, cfg, out: Path):
+    import numpy as np
+
+    from rdmdelay.delay_core import DelayConfig, HistoryBuffer, ReductionMap, propagate_y
+
+    local = np.random.default_rng(13)
+    n, m, steps = 8, 2, 60
+
+    def gaussian(*shape):
+        return local.standard_normal(shape) + 1j * local.standard_normal(shape)
+
+    def unitary():
+        q, t = np.linalg.qr(gaussian(n, n))
+        return q * (np.diag(t) / np.abs(np.diag(t)))
+
+    one = unitary()
+
+    def propagator():
+        if cfg["props"] == "distinct":
+            return unitary()
+        if cfg["props"] == "invertible":
+            return unitary() @ np.diag(local.uniform(0.9, 1.1, n)) @ unitary()
+        return one if cfg["props"] == "one" else one.copy()
+
+    r = ReductionMap(gaussian(m, n))
+    depth = cfg["ell"] * cfg["stride"]
+    z = gaussian(n)
+    hist = HistoryBuffer(depth)
+    hist.push(None, r.matrix @ z)
+    for _ in range(depth):
+        a = propagator()
+        z = a @ z
+        hist.push(a, r.matrix @ z)
+    ys, rows = [], []
+    for step in range(steps):
+        r_tol = 0.1 if cfg["switch"] and step >= steps // 2 else 1e-12
+        a = propagator()
+        for _ in range(2 if cfg["switch"] and step % 10 == 0 else 1):
+            y, diag = propagate_y(hist, r, a, DelayConfig(cfg["ell"], cfg["stride"], r_tol))
+            ys.append(y)
+            rows.append((diag.effective_rank, diag.condition_number, diag.residual))
+        hist.push(a, y)
+    q = np.array(ys)
+    ranks = np.array([rank for rank, _, _ in rows])
+    np.savez(out / f"{name}.npz", q=q, ranks=ranks)
+    csv = "".join(f"{rank},{float(cond).hex()},{float(res).hex()}\n" for rank, cond, res in rows)
+    return {"q": _digest(q.tobytes()), "csv": _digest(csv.encode()), "summary": "-", "mz": "-"}
+
+
 def _worker(src: str, out: str, names: list[str]):
     sys.path.insert(0, src)
     out, truths, digests = Path(out), {}, {}
@@ -191,6 +260,7 @@ def _worker(src: str, out: str, names: list[str]):
         cfg = CONFIGS[name]
         try:
             digests[name] = (_run_mz(name, cfg, out) if cfg["kind"] == "mz"
+                             else _run_y(name, cfg, out) if cfg["kind"] == "y"
                              else _run_delay(name, cfg, out, truths))
         except Exception as exc:  # reported as this configuration's result
             message = " ".join(str(exc).split())
