@@ -450,9 +450,11 @@ def _from_reim(rows) -> np.ndarray:
 
 def save_system(system: CiSystem, path) -> None:
     """Write a system-definition JSON file.  Each float is written as its
-    shortest repr, which reads back to the same float."""
-    if system.h0_full is not None and np.abs(
-            system.h0_full - np.diag(np.diag(system.h0_full))).max() > 0:
+    shortest repr, which reads back to the same float.  The file's h0_diag
+    is the diagonal of the H0 that `CiSystem.hamiltonian` uses, h0_full's
+    when one is set, which must then be diagonal."""
+    h0 = system.h0_full if system.h0_full is not None else np.diag(system.h0_diag)
+    if np.abs(h0 - np.diag(np.diag(h0))).max() > 0:
         raise ValidationError("only systems with diagonal H0 are serializable")
     doc = {
         "n_electrons": system.n_electrons,
@@ -460,7 +462,7 @@ def save_system(system: CiSystem, path) -> None:
         "n_configs": system.n_configs,
         "c_matrix": _reim(system.c_matrix),
         "index_map": [list(t) for t in system.index_map.combos],
-        "h0_diag": system.h0_diag.tolist(),
+        "h0_diag": np.diag(h0).real.tolist(),
         "m_dip": _reim(system.m_dip),
         "field": {
             "amplitude": float(system.field.amplitude),

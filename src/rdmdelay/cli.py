@@ -165,14 +165,19 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _emit_report(report: dict, out) -> None:
+    """Print a JSON report, and write it to the file `out` if one is given."""
+    text = json.dumps(report, indent=1, sort_keys=True)
+    print(text)
+    if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text + "\n")
+
+
 def _cmd_validate_one_electron(args) -> int:
     report = validate_one_electron(args.k, dt=args.dt, n_steps=args.steps,
                                    seed=args.seed)
-    text = json.dumps(report, indent=1, sort_keys=True)
-    print(text)
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n")
+    _emit_report(report, args.out)
     if report["max_deviation"] > 1e-10:
         print(f"FAIL: max deviation {report['max_deviation']:.3e} exceeds 1e-10",
               file=sys.stderr)
@@ -181,13 +186,8 @@ def _cmd_validate_one_electron(args) -> int:
 
 
 def _cmd_mz_compare(args) -> int:
-    report = mz_compare(args.dim, args.m, args.steps, seed=args.seed,
-                        diagonal=not args.dense)
-    text = json.dumps(report, indent=1, sort_keys=True)
-    print(text)
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n")
+    _emit_report(mz_compare(args.dim, args.m, args.steps, seed=args.seed,
+                            diagonal=not args.dense), args.out)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -241,15 +241,8 @@ def hermitian_half(k: int):
     return np.concatenate([diag, upper]), np.repeat([1.0, np.sqrt(2.0)], [k, len(upper)])
 
 
-class ConstrainedSolve(NamedTuple):
-    x: np.ndarray
-    residual: float
-    effective_rank: int
-    condition_number: float
-    factor: LeastSquaresFactor
-
-
-def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float) -> ConstrainedSolve:
+def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray,
+                      r_tol: float) -> tuple[np.ndarray, LeastSquaresFactor]:
     """Real least-squares solve of M'' x = b_ell, for a real system such as
     `assemble_constrained_system`'s; a complex one raises `ValidationError`.
 
@@ -258,17 +251,15 @@ def solve_constrained(m_red: np.ndarray, b_ell: np.ndarray, r_tol: float) -> Con
     equations, keeping every column, so the rank is the column count;
     every other step (an ill-conditioned or rank-deficient system, one
     with fewer rows than columns, or r_tol close to 1/cond) forms the
-    thresholded pseudoinverse.  Returns (x, ||M'' x - b_ell||, rank,
-    condition number, factor), where `factor` solves the system again for
-    another right-hand side.
+    thresholded pseudoinverse.  Returns (x, factor): the factor holds the
+    rank and the condition number, gives the residual of x, and solves the
+    system again for another right-hand side.
     """
     if np.iscomplexobj(m_red) or np.iscomplexobj(b_ell):
         raise ValidationError("solve_constrained takes a real system: build it "
                               "with assemble_constrained_system")
     factor = factor_least_squares(m_red, r_tol)
-    x = factor.solve(b_ell)
-    return ConstrainedSolve(x, factor.residual(x, b_ell), factor.effective_rank,
-                            factor.condition_number, factor)
+    return factor.solve(b_ell), factor
 
 
 @dataclass(frozen=True)
@@ -565,23 +556,23 @@ class DelayPropagator:
         # a non-finite system makes the gate raise NumericalError and the
         # SVD raise LinAlgError; both are reported with the step
         try:
-            if self.mode == "constrained":
-                if solved is None:
-                    a, rhs = assemble_constrained_system(m, self.spec, q_hist, self.k_orb,
-                                                         out=self._a)
-                    x_red, residual, _, _, solved = solve_constrained(a, rhs, self.cfg.r_tol)
-                else:
-                    rhs = constrained_rhs(m, self.spec, q_hist, self.k_orb)
-                    x_red = solved.solve(rhs)
-                    residual = solved.residual(x_red, rhs)
-                x = self.spec.reconstruct(x_red, self.basis)
-                p_hat = self.basis.matrix(x)
-            else:
+            if self.mode == "raw":
+                rhs = q_hist
                 if solved is None:
                     solved = factor_least_squares(m, self.cfg.r_tol)
-                vec_p = solved.solve(q_hist)
-                residual = solved.residual(vec_p, q_hist)
-                p_hat = vec_p.reshape((self.n_c, self.n_c), order="F")
+                x = solved.solve(rhs)
+            elif solved is None:
+                a, rhs = assemble_constrained_system(m, self.spec, q_hist, self.k_orb,
+                                                     out=self._a)
+                x, solved = solve_constrained(a, rhs, self.cfg.r_tol)
+            else:
+                rhs = constrained_rhs(m, self.spec, q_hist, self.k_orb)
+                x = solved.solve(rhs)
+            residual = solved.residual(x, rhs)
+            if self.mode == "raw":
+                p_hat = x.reshape((self.n_c, self.n_c), order="F")
+            else:
+                p_hat = self.basis.matrix(self.spec.reconstruct(x, self.basis))
         except (NumericalError, np.linalg.LinAlgError) as exc:
             raise self._solve_stage_error(t, f"failed: {exc}") from exc
         if not np.isfinite(p_hat).all():

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +106,13 @@ class ExperimentConfig:
     label: str = "run"
 
     def delay_config(self) -> DelayConfig:
-        return DelayConfig(ell=self.ell, stride=self.stride, r_tol=self.r_tol)
+        """The run's `DelayConfig`, checked, with at least one delay step
+        past its warm start."""
+        cfg = DelayConfig(ell=self.ell, stride=self.stride, r_tol=self.r_tol)
+        if self.n_steps <= cfg.depth:
+            raise ValidationError(f"n_steps = {self.n_steps} leaves no delay step "
+                                  f"past the memory depth {cfg.depth}")
+        return cfg
 
 
 @dataclass
@@ -193,39 +199,36 @@ def run_sweep(base: ExperimentConfig, axis: str, values) -> list[dict]:
     dt sweeps hold the final time n_steps * dt fixed.  dt values must be
     positive and finite, with a step count whose trajectory numpy can
     create, ell and stride values finite integers (2.0 is taken as 2, 2.5
-    is rejected).  Every value, and the base's `DelayConfig`, is checked
-    before the first point runs.
+    is rejected).  Every point's configuration, its `DelayConfig` and its
+    step count against its memory depth included, is checked before the
+    first point runs.
     """
     if axis not in ("ell", "stride", "dt"):
         raise ValidationError(f"sweep axis must be ell, stride, or dt, got {axis!r}")
-    base.delay_config()
     values = list(values)
     total_time = base.n_steps * base.dt
     if axis == "dt":
         if not all(0 < v < math.inf for v in values):
             raise ValidationError(f"dt values must be positive and finite, got {values}")
-        for v in values:
-            try:
-                require_step_count(_steps_at(total_time, v), base.system.n_configs)
-            except ValidationError as exc:
-                raise ValidationError(f"dt = {v:g}: {exc}") from None
     elif all(math.isfinite(v) and v == int(v) for v in values):
         values = [int(v) for v in values]
     else:
         raise ValidationError(f"{axis} values must be finite integers, got {values}")
+    points = []
+    for v in values:
+        change = ({"dt": float(v), "n_steps": _steps_at(total_time, float(v))}
+                  if axis == "dt" else {axis: v})
+        cfg = replace(base, label=f"{base.label}_{axis}{v}", **change)
+        try:
+            require_step_count(cfg.n_steps, cfg.system.n_configs)
+            cfg.delay_config()
+        except ValidationError as exc:
+            raise ValidationError(f"{axis} = {v:g}: {exc}") from None
+        points.append(cfg)
     b = build_B(base.system)
     rows = []
     cache: dict[float, np.ndarray] = {}
-    for v in values:
-        cfg = ExperimentConfig(**{**base.__dict__})
-        if axis == "ell":
-            cfg.ell = v
-        elif axis == "stride":
-            cfg.stride = v
-        else:
-            cfg.dt = float(v)
-            cfg.n_steps = _steps_at(total_time, cfg.dt)
-        cfg.label = f"{base.label}_{axis}{v}"
+    for cfg in points:
         if cfg.dt not in cache:
             run = propagate_coefficients(cfg.system, cfg.dt, cfg.n_steps)
             cache[cfg.dt] = reduced_density_series(run, b)

@@ -266,3 +266,14 @@ def test_save_load_round_trip(tmp_path):
     again = tmp_path / "again.json"
     save_system(s2, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_save_load_keeps_the_hamiltonian_of_a_diagonal_h0_full(tmp_path):
+    # hamiltonian reads h0_full whenever one is set, even where h0_diag differs
+    s = _all_pairs_system(2, seed=13)
+    s = dataclasses.replace(s, h0_full=np.diag(s.h0_diag + 1.0))
+    path = tmp_path / "system.json"
+    save_system(s, path)
+    s2 = load_system(path)
+    for t in (0.0, 0.7, 3.1):
+        assert np.array_equal(s2.hamiltonian(t), s.hamiltonian(t))

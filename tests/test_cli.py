@@ -45,6 +45,22 @@ def test_propagate_writes_summary(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["constrained", "raw"])
+def test_propagate_numerical_failure_exits_3(tmp_path, capsys, mode):
+    # at r_tol 1 every singular value falls below the threshold, so the first
+    # delay step's solve fails; the message names that step and its stage
+    path = _gen(tmp_path)
+    out = tmp_path / "prop"
+    rc = main(["propagate", "--system", str(path), "--steps", "40", "--ell", "4",
+               "--rtol", "1", "--mode", mode, "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: step 5 (t = 0.33072): "
+                          f"the {mode} solve stage failed: ")
+    assert "all singular values fell below the threshold" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["constrained", "raw"])
 def test_propagate_takes_a_one_configuration_system(tmp_path, mode):
     # N_C = 1: the trace alone fixes P, so the constrained solve has no column
     path = _gen(tmp_path, nc=1, k=1, seed=0)
@@ -58,13 +74,17 @@ def test_propagate_takes_a_one_configuration_system(tmp_path, mode):
 
 def test_sweep_subcommand(tmp_path):
     path = _gen(tmp_path)
-    out = tmp_path / "sweep"
-    rc = main(["sweep", "--system", str(path), "--dt", "0.08268",
-               "--steps", "120", "--axis", "ell", "--values", "4,8",
-               "--out", str(out)])
-    assert rc == 0
-    table = list(out.glob("*_sweep.csv"))[0].read_text().splitlines()
-    assert len(table) == 3
+    # the sweep table's ell column is 0, its k (stride) column 1
+    for axis, column in (("ell", 0), ("stride", 1)):
+        out = tmp_path / axis
+        rc = main(["sweep", "--system", str(path), "--dt", "0.08268",
+                   "--steps", "120", "--axis", axis, "--values", "4,8",
+                   "--out", str(out)])
+        assert rc == 0
+        table = (out / "sweep_sweep.csv").read_text().splitlines()
+        assert len(table) == 3
+        assert [row.split(",")[column] for row in table[1:]] == ["4", "8"]
+        assert (out / f"sweep_{axis}8_summary.json").exists()
 
 
 @pytest.mark.parametrize("axis,values", [
@@ -97,14 +117,24 @@ def test_sweep_dt_too_small_for_any_trajectory_is_validation_error(tmp_path, cap
     assert not (tmp_path / "sweep").exists()
 
 
-def test_validate_one_electron_subcommand(capsys):
-    rc = main(["validate-one-electron", "--k", "2", "--steps", "150"])
-    assert rc == 0
+def _assert_report_printed_and_written(args, out, capsys):
+    """The command prints its JSON report, and with --out also writes it,
+    making the file's directory."""
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    assert main([*args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == printed
+    assert json.loads(out.read_text()) == json.loads(printed)
 
 
-def test_mz_compare_subcommand(capsys):
-    rc = main(["mz-compare", "--dim", "6", "--m", "3", "--steps", "60"])
-    assert rc == 0
+def test_validate_one_electron_subcommand(tmp_path, capsys):
+    _assert_report_printed_and_written(["validate-one-electron", "--k", "2", "--steps", "150"],
+                                       tmp_path / "reports" / "one_electron.json", capsys)
+
+
+def test_mz_compare_subcommand(tmp_path, capsys):
+    _assert_report_printed_and_written(["mz-compare", "--dim", "6", "--m", "3", "--steps", "60"],
+                                       tmp_path / "reports" / "mz.json", capsys)
 
 
 @pytest.mark.parametrize("args, message", [

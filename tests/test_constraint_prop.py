@@ -154,13 +154,13 @@ def test_constrained_solve_recovers_planted_p():
     # as its solution in every real row
     a, b_ell = assemble_constrained_system(m, spec, q_hist, 2)
     assert a.shape == (16, 8)
-    x, residual, rank, cond, _ = solve_constrained(a, b_ell, 1e-12)
+    x, solved = solve_constrained(a, b_ell, 1e-12)
     p_hat = basis.matrix(spec.reconstruct(x, basis))
     assert np.max(np.abs(p_hat - p)) < 1e-10
     assert np.max(np.abs(p_hat - p_hat.conj().T)) == 0.0
     assert abs(np.trace(p_hat).real - 1.0) < 1e-14
-    assert residual < 1e-10
-    assert rank == 8  # N_C^2 - 1 retained real coordinates
+    assert solved.residual(x, b_ell) < 1e-10
+    assert solved.effective_rank == 8  # N_C^2 - 1 retained real coordinates
 
 
 def test_pivot_moves_past_declared_zero_diagonal():
@@ -173,8 +173,8 @@ def test_pivot_moves_past_declared_zero_diagonal():
     p[:, 2] = 0.0
     p[0, 0] += 1.0 - np.trace(p).real
     m = rng.standard_normal((10, 9)) + 1j * rng.standard_normal((10, 9))
-    x = solve_constrained(*assemble_constrained_system(m, spec, m @ flatten(p), 1),
-                          1e-12).x
+    x, _ = solve_constrained(*assemble_constrained_system(m, spec, m @ flatten(p), 1),
+                             1e-12)
     p_hat = basis.matrix(spec.reconstruct(x, basis))
     assert np.max(np.abs(p_hat - p)) < 1e-10
 
@@ -229,7 +229,7 @@ def test_gathered_assembly_matches_dense_product(zeros):
     # S~ holds only 0, 1 and +-1j, so both assemblies round alike
     assert np.array_equal(a, a_ref)
     assert np.array_equal(b_ell, b_ref)
-    x = solve_constrained(a, b_ell, 1e-12).x
+    x, _ = solve_constrained(a, b_ell, 1e-12)
     x_full = spec.reconstruct(x, basis)
     assert np.array_equal(x_full, _reconstruct_from_list(spec, x, basis))
     # the spec builds its plan once; the plan is read-only
@@ -394,8 +394,10 @@ def test_one_configuration_is_solved_from_the_trace_alone():
     assert np.abs(q_con - q_raw).max() <= 1e-12
     assert {(r.effective_rank, r.condition_number) for r in records} == {(0, 1.0)}
     b_ell = np.array([0.5, -2.0, 0.0])
-    x, residual, rank, cond, _ = solve_constrained(np.zeros((3, 0)), b_ell, 1e-12)
-    assert x.shape == (0,) and (residual, rank, cond) == (np.linalg.norm(b_ell), 0, 1.0)
+    x, solved = solve_constrained(np.zeros((3, 0)), b_ell, 1e-12)
+    assert x.shape == (0,)
+    assert (solved.residual(x, b_ell), solved.effective_rank, solved.condition_number) == (
+        np.linalg.norm(b_ell), 0, 1.0)
 
 
 @pytest.mark.parametrize("mode", ["constrained", "raw"])

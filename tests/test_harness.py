@@ -157,6 +157,28 @@ def test_run_sweep_rejects_unknown_axis():
         run_sweep(ExperimentConfig(system=s), "amplitude", [1.0])
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("ell", [2, -1]),          # not a DelayConfig
+    ("ell", [2, 100]),         # a window longer than the run
+    ("ell", [2, 30]),          # depth n_steps: no delay step to measure
+    ("stride", [1, 0]),
+    ("dt", [0.08268, 0.8268]), # 3 steps at the second dt, under the depth 8
+])
+def test_run_sweep_checks_every_point_before_the_first_runs(tmp_path, monkeypatch, axis,
+                                                            values):
+    from rdmdelay import harness
+    truths = []
+    monkeypatch.setattr(harness, "propagate_coefficients",
+                        lambda *args: truths.append(args) or propagate_coefficients(*args))
+    s = generate_synthetic_system(4, 2, seed=3)
+    base = ExperimentConfig(system=s, n_steps=30, ell=8, out_dir=tmp_path / "out",
+                            label="sw")
+    with pytest.raises(ValidationError, match=f"{axis} = {values[1]:g}: "):
+        run_sweep(base, axis, values)
+    assert truths == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("k_orbitals", [2, 4])
 def test_validate_one_electron_report(k_orbitals):
     report = validate_one_electron(k_orbitals, n_steps=200, seed=0)

@@ -4,7 +4,8 @@
 `delay_core.factor_least_squares`: a well-conditioned step by the Cholesky
 factor of `numkit.normal_equations_factor`, applied with one corrected
 semi-normal step (`LeastSquaresFactor.solve`), every other step through the
-thresholded pseudoinverse.  The reference is the pseudoinverse path alone:
+thresholded pseudoinverse.  It returns (x, factor); the residual, rank and
+condition number compared here are the factor's.  The reference is the pseudoinverse path alone:
 `pinv_thresholded` called directly, or the propagator with
 `normal_equations_factor` patched to decline every step.
 Fast-path steps must report the same rank and agree to rounding level;
@@ -86,7 +87,9 @@ def _cond_sv(cols, cond):
 
 
 def _assert_fast_agrees(m_red, b_ell, r_tol, pinv_calls):
-    x, residual, rank, cond, factor = solve_constrained(m_red, b_ell, r_tol)
+    x, factor = solve_constrained(m_red, b_ell, r_tol)
+    residual = factor.residual(x, b_ell)
+    rank, cond = factor.effective_rank, factor.condition_number
     assert not pinv_calls, "expected the normal-equations path"
     assert factor.cholesky is not None and factor.pinv is None
     x_ref, res_ref, rank_ref, cond_ref = _svd_reference(m_red, b_ell, r_tol)
@@ -97,10 +100,10 @@ def _assert_fast_agrees(m_red, b_ell, r_tol, pinv_calls):
 
 
 def _assert_fallback_bitwise(m_red, b_ell, r_tol, pinv_calls):
-    solved = solve_constrained(m_red, b_ell, r_tol)
+    x, factor = solve_constrained(m_red, b_ell, r_tol)
     assert len(pinv_calls) == 1, "expected the pseudoinverse path"
-    assert solved.factor.cholesky is None and solved.factor.pinv is not None
-    got = solved[:4]
+    assert factor.cholesky is None and factor.pinv is not None
+    got = x, factor.residual(x, b_ell), factor.effective_rank, factor.condition_number
     ref = _svd_reference(m_red, b_ell, r_tol)
     assert np.array_equal(got[0], ref[0])
     assert got[1:] == ref[1:]

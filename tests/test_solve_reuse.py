@@ -79,7 +79,9 @@ def _fresh_solve(prop):
     if prop.mode == "constrained":
         a, rhs = assemble_constrained_system(m, prop.spec, q_hist, prop.k_orb,
                                              out=np.empty_like(prop._a))
-        x, residual, rank, cond, _ = solve_constrained(a, rhs, prop.cfg.r_tol)
+        x, solved = solve_constrained(a, rhs, prop.cfg.r_tol)
+        residual, rank, cond = (solved.residual(x, rhs), solved.effective_rank,
+                                solved.condition_number)
         p_hat = prop.basis.matrix(prop.spec.reconstruct(x, prop.basis))
     else:
         pinv, rank, cond = pinv_thresholded(m, prop.cfg.r_tol)

@@ -108,7 +108,8 @@ def test_least_squares_residual_matches_numpy_norm(complex_system):
     x = factor.solve(b)
     assert factor.residual(x, b) == float(np.linalg.norm(m @ x - b))
     if not complex_system:
-        assert solve_constrained(m, b, 1e-12).residual == factor.residual(x, b)
+        x_con, factor_con = solve_constrained(m, b, 1e-12)
+        assert factor_con.residual(x_con, b) == factor.residual(x, b)
 
 
 def test_hermiticity_defect_keeps_its_value():
@@ -208,7 +209,8 @@ def test_assembly_without_out_matches_the_propagator():
     a, rhs = assemble_constrained_system(m, prop.spec, q_hist, prop.k_orb)
     assert a.flags.c_contiguous
     assert _same_bits(rhs, constrained_rhs(m, prop.spec, q_hist, prop.k_orb))
-    x, residual, rank, cond, _ = solve_constrained(a, rhs, cfg.r_tol)
+    x, solved = solve_constrained(a, rhs, cfg.r_tol)
+    residual, rank, cond = solved.residual(x, rhs), solved.effective_rank, solved.condition_number
     p_hat = prop.basis.matrix(prop.spec.reconstruct(x, prop.basis))
     prop.step()
     rec = prop.records[-1]
