@@ -11,6 +11,7 @@ the same partially observed setting is provided for comparison.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -94,12 +95,21 @@ def factor_least_squares(a: np.ndarray, r_tol: float) -> LeastSquaresFactor:
 
 class KeptMemory(NamedTuple):
     """The factor of M(t) that a `propagate_y` call used, and the map and
-    configuration it was formed for; M(t) itself is ``factor.a``."""
+    configuration it was formed for; M(t) itself is ``factor.a``.  With it
+    the coefficients of the closed system that the call stepped,
+
+        C = [R A(t) F; M(t) F - I],
+
+    where F is the factor's least-squares operator (`_closed_system`), and
+    the bytes of the A(t) they were built from, a private copy compared
+    bitwise.  C Y(t) stacks y(t+1) on the residual vector M(t) z_hat - Y(t)."""
 
     r: ReductionMap  # compared by identity
     cfg: DelayConfig
     pushes: int  # `HistoryBuffer.pushes` when M was last found current
     factor: LeastSquaresFactor
+    a_t: bytes  # A(t).tobytes() when C was built
+    coefficients: np.ndarray  # C
 
 
 @dataclass
@@ -111,11 +121,14 @@ class HistoryBuffer:
     depth+1 respectively.  `push` keeps every propagator, and every reduced
     vector, the shape of the first; ``pushes`` counts the propagators
     pushed, and ``run_start`` is the count at which the newest run of
-    bitwise-equal propagators began.  ``memory`` holds the factor of the
-    M(t) of the last `propagate_y` call, which later calls reuse while the
-    map, the configuration and M's window are unchanged (see there).  That
-    reuse and `build_M` read ``run_start``, so change the history only
-    through `push`.
+    bitwise-equal propagators began.  The history holds its own read-only
+    copy of each propagator, one array per run, so an in-place edit of an
+    array the caller pushed reaches neither M nor ``run_start``.
+    ``memory`` holds the factor of the M(t) of the last `propagate_y` call
+    and the coefficients of the closed system it stepped, which later calls
+    reuse while the map, the configuration and M's window are unchanged
+    (see there).  That reuse and `build_M` read ``run_start``, so change the
+    history only through `push`.
     """
 
     depth: int
@@ -145,9 +158,11 @@ class HistoryBuffer:
                 raise ValidationError(f"a_prev has shape {a_prev.shape}, but the history's "
                                       f"propagators have shape {self.propagators[-1].shape}")
             self.pushes += 1
-            # the same array pushed again continues its run without a compare
-            if not self.propagators or (a_prev is not self.propagators[-1] and
-                                        not np.array_equal(a_prev, self.propagators[-1])):
+            if self.propagators and a_prev.tobytes() == self.propagators[-1].tobytes():
+                a_prev = self.propagators[-1]  # the run's one copy
+            else:
+                a_prev = a_prev.copy()
+                a_prev.flags.writeable = False
                 self.run_start = self.pushes
             self.propagators.append(a_prev)
         self.reduced.append(y)
@@ -235,6 +250,22 @@ class StepDiagnostics:
     rank_deficient: bool
 
 
+def _closed_system(factor: LeastSquaresFactor, r: ReductionMap, a_t: np.ndarray) -> np.ndarray:
+    """C = [R A(t) F; M(t) F - I] for M(t) = ``factor.a``, with F the
+    factor's least-squares operator: its pseudoinverse when it holds one,
+    else its solve of the identity.  R A(t) is formed first, and I is
+    subtracted in place."""
+    m_t = factor.a
+    rows = len(m_t)
+    f = factor.pinv if factor.pinv is not None else factor.solve(np.eye(rows))
+    c = np.empty((r.m + rows, rows), dtype=complex)
+    np.matmul(r.matrix @ a_t, f, out=c[:r.m])
+    lower = c[r.m:]
+    np.matmul(m_t, f, out=lower)
+    lower.reshape(-1)[::rows + 1] -= 1  # lower is contiguous: a view of its diagonal
+    return c
+
+
 def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
                 cfg: DelayConfig):
     """One step of the self-contained delay equation for y.
@@ -244,23 +275,30 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
     thresholded pseudoinverse still yields a least-squares reconstruction.
     A caller that runs many steps warns once for all of them
     (`warn_rank_deficient`).
-    A failed SVD, or a non-finite z_hat or y(t+1), raises `NumericalError`
-    naming the step and the stage (solve or propagation) where it appeared,
-    and a non-finite or ill-conditioned propagator in M's window
-    (`_back_step`) names the memory-matrix stage.  The
+    A failed SVD, or a non-finite y(t+1), raises `NumericalError` naming the
+    step and the stage (solve or propagation) where it appeared, and a
+    non-finite or ill-conditioned propagator in M's window (`_back_step`)
+    names the memory-matrix stage.  The
     step is numbered history.pushes + 1, the step that makes y(t+1) from a
     history of y(0)..y(t), as `DelayPropagator.step` numbers its steps.  An
     a_t, or a history, whose shapes do not match r raises `ValidationError`.
 
-    The factor of M(t) is kept on the history (``history.memory``) and
-    reused while these all hold: the same r (by identity), an equal cfg,
-    and M's window unchanged, that is no push since it was last used, or
-    ell 0, whose M reads no propagator, or a run of bitwise-equal
+    With M(t)'s window and A(t) fixed, the step is the closed linear system
+    y(t+1) = R A(t) M(t)^+ Y(t).  Every call takes y(t+1) and the residual
+    ||M(t) z_hat - Y(t)|| from one product C Y(t) with that system's
+    coefficients C = [R A(t) F; M(t) F - I] (`KeptMemory`), which are kept
+    on the history (``history.memory``) with the factor of M(t).  The
+    factor is reused while these all hold: the same r (by identity), an
+    equal cfg, and M's window unchanged, that is no push since it was last
+    used, or ell 0, whose M reads no propagator, or a run of bitwise-equal
     propagators (``history.run_start``) that began at or before the first
     propagator of the kept window.  Otherwise `build_M` forms M and
-    `factor_least_squares` factors it.  M(t) depends only on r, ell, stride
-    and that window, so every output is bitwise what the same call gives on
-    a new `HistoryBuffer` with the same contents.
+    `factor_least_squares` factors it.  C is rebuilt with every new factor,
+    and whenever a_t is not bitwise equal to the A(t) it was built from, so
+    a reused call costs one matrix-vector product.  M(t) depends only on r,
+    ell, stride and that window, and C only on M(t)'s factor, r and a_t, so
+    every output is bitwise what the same call gives on a new
+    `HistoryBuffer` with the same contents.
     """
     a_t = as_complex_matrix(a_t, "A(t)")
     if a_t.shape != (r.n, r.n):
@@ -284,28 +322,36 @@ def propagate_y(history: HistoryBuffer, r: ReductionMap, a_t: np.ndarray,
             raise NumericalError(f"propagate_y: step {step}: the memory-matrix stage "
                                  f"failed: {exc}") from exc
     y_stack = history.stacked_reduced(cfg)
-    if not reuse:
+    if reuse:
+        factor = kept.factor
+    else:
         try:
-            kept = KeptMemory(r, cfg, history.pushes, factor_least_squares(m, cfg.r_tol))
+            factor = factor_least_squares(m, cfg.r_tol)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"propagate_y: step {step}: the solve stage "
                                  f"failed: {exc}") from exc
-    history.memory = kept._replace(pushes=history.pushes)
-    factor = kept.factor
-    rank, cond = factor.effective_rank, factor.condition_number
-    # a non-finite z_hat or y(t+1) is reported below, naming the stage
+    a_bytes = a_t.tobytes()
+    # a non-finite y(t+1) is reported below, naming the stage
     with np.errstate(over="ignore", invalid="ignore"):
-        z_hat = factor.solve(y_stack)
-        residual = factor.residual(z_hat, y_stack)
-        y_next = r.matrix @ (a_t @ z_hat)
-    # 0 * y is 0 for finite y and NaN otherwise, so one product tests every
-    # entry of y(t+1) = R A z_hat; a non-finite z_hat makes all of them
-    # non-finite, and the stage is told apart only on failure
-    if not cmath.isfinite(np.vdot(np.zeros(y_next.size), y_next)):
-        stage = "propagation" if np.isfinite(z_hat).all() else "solve"
-        raise NumericalError(f"propagate_y: step {step}: the {stage} stage "
-                             f"produced non-finite values")
-    return y_next, StepDiagnostics(rank, cond, residual, rank < r.n)
+        if reuse and kept.a_t == a_bytes:
+            c = kept.coefficients
+        else:
+            c = _closed_system(factor, r, a_t)
+        history.memory = KeptMemory(r, cfg, history.pushes, factor, a_bytes, c)
+        out = c @ y_stack
+        y_next, res = out[:r.m], out[r.m:]
+        # 0 * y is 0 for finite y and NaN otherwise, so one product tests
+        # every entry of y(t+1); the stage is told apart only on failure,
+        # by solving for z_hat, which a non-finite Y(t) or factor spoils
+        if not cmath.isfinite(np.vdot(np.zeros(r.m), y_next)):
+            stage = "propagation" if np.isfinite(factor.solve(y_stack)).all() else "solve"
+            raise NumericalError(f"propagate_y: step {step}: the {stage} stage "
+                                 f"produced non-finite values")
+    # ||res|| as np.linalg.norm computes it, without its dispatch
+    re, im = res.real, res.imag
+    residual = math.sqrt(re.dot(re) + im.dot(im))
+    return y_next, StepDiagnostics(factor.effective_rank, factor.condition_number, residual,
+                                   factor.effective_rank < r.n)
 
 
 def complete_reduction_basis(r: ReductionMap) -> np.ndarray:

@@ -181,9 +181,16 @@ def test_propagate_y_non_finite_memory_names_solve_stage():
 def test_propagate_y_non_finite_propagator_names_memory_stage():
     n, m_rows, ell = 6, 2, 3
     for bad in (np.nan, np.inf):
-        r, hist, _, _, local = _random_history(n, m_rows, ell, seed=21)
+        r, good, _, props, local = _random_history(n, m_rows, ell, seed=21)
         a = random_unitary(n, local)
-        hist.propagators[-1][2, 1] = bad
+        # the history's copies are read-only: the bad propagator is pushed
+        hist = HistoryBuffer(ell)
+        hist.push(None, good.reduced[0])
+        for p, y in zip(props[:-1], list(good.reduced)[1:-1]):
+            hist.push(p, y)
+        bad_prop = props[-1].copy()
+        bad_prop[2, 1] = bad
+        hist.push(bad_prop, good.reduced[-1])
         with pytest.raises(NumericalError, match="step 4: the memory-matrix stage failed: "
                                                  "propagator has non-finite entries"):
             propagate_y(hist, r, a, DelayConfig(ell=ell))
@@ -264,11 +271,11 @@ def test_propagate_y_reuses_the_pseudoinverse_while_m_is_unchanged(monkeypatch):
 
 
 @contextlib.contextmanager
-def _counted_calls():
-    """Counts of the build_M and pinv_thresholded calls made in delay_core."""
+def _counted_calls(names=("build_M", "pinv_thresholded")):
+    """Counts of the calls of delay_core's functions `names` made in delay_core."""
     counts = Counter()
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("build_M", "pinv_thresholded"):
+        for name in names:
             def counting(*args, _name=name, _original=getattr(delay_core, name), **kwargs):
                 counts[_name] += 1
                 return _original(*args, **kwargs)
@@ -714,6 +721,152 @@ def test_reduction_map_keeps_its_own_read_only_copy():
     hist.push(a, r.matrix @ z)
     y_next, _ = propagate_y(hist, r, a, DelayConfig(ell=ell))
     assert np.max(np.abs(y_next - r.matrix @ (a @ z))) < 1e-12
+
+
+def test_an_in_place_edit_of_a_pushed_propagator_reaches_no_kept_memory():
+    # the history copies what it is pushed: overwriting the caller's array
+    # and pushing it again starts a new run, so M is rebuilt from the new
+    # values; holding the caller's array, the call reused the old M, and an
+    # entry of y(t+1) missed the new buffer's by 4.7
+    n, m_rows, ell = 6, 2, 2
+    local = np.random.default_rng(48)
+    r = ReductionMap(local.standard_normal((m_rows, n)) + 1j * local.standard_normal((m_rows, n)))
+    a = random_unitary(n, local)
+    first = a.copy()
+    z = local.standard_normal(n) + 1j * local.standard_normal(n)
+    hist, z = _filled_history(r, [a] * ell, ell, z)
+    cfg = DelayConfig(ell=ell)
+    propagate_y(hist, r, a, cfg)
+    a[...] = random_unitary(n, local)
+    z = a @ z
+    hist.push(a, r.matrix @ z)
+    with _counted_calls() as calls:
+        y, diag = propagate_y(hist, r, a, cfg)
+    y_fresh, diag_fresh = propagate_y(_copied_history(hist), r, a, cfg)
+    assert y.tobytes() == y_fresh.tobytes() and diag == diag_fresh
+    assert calls == {"build_M": 1, "pinv_thresholded": 1}
+    assert hist.propagators[0].tobytes() == first.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        hist.propagators[-1][0, 0] = 1.0
+
+
+def test_a_run_of_pushes_holds_one_copy():
+    # bitwise-equal pushes, of one array or of copies, share the first's copy
+    local = np.random.default_rng(49)
+    a = random_unitary(4, local)
+    hist = HistoryBuffer(5)
+    hist.push(None, np.zeros(2))
+    for j in range(5):
+        hist.push(a if j % 2 else a.copy(), np.zeros(2))
+    assert hist.run_start == 1
+    assert all(p is hist.propagators[0] for p in hist.propagators)
+    assert hist.propagators[0] is not a
+
+
+_BUILDS = ("build_M", "factor_least_squares", "_closed_system")
+
+
+def test_a_reused_call_builds_no_memory_factor_or_coefficients():
+    r, hist, cfg, a, z = _stepped_history()
+    for _ in range(cfg.depth):
+        z = a @ z
+        hist.push(a, r.matrix @ z)
+    with _counted_calls(_BUILDS) as calls:
+        propagate_y(hist, r, a, cfg)  # M's window holds a alone
+    assert calls == dict.fromkeys(_BUILDS, 1)
+    z = a @ z
+    hist.push(a.copy(), r.matrix @ z)
+    with _counted_calls(_BUILDS) as calls:
+        y, diag = propagate_y(hist, r, a, cfg)
+        y_again, diag_again = propagate_y(hist, r, a.copy(), cfg)
+    assert calls == {}
+    y_fresh, diag_fresh = propagate_y(_copied_history(hist), r, a, cfg)
+    assert y.tobytes() == y_again.tobytes() == y_fresh.tobytes()
+    assert diag == diag_again == diag_fresh
+
+
+@pytest.mark.parametrize("change", ["another array", "in place"])
+def test_a_new_a_t_on_an_unchanged_memory_rebuilds_the_coefficients_only(change):
+    # C = [R A(t) F; M F - I] holds A(t), M does not; an edit of the caller's
+    # a_t is found by comparing against C's own copy, not by identity
+    r, hist, cfg, a, _ = _stepped_history()
+    a = a.copy()
+    propagate_y(hist, r, a, cfg)
+    b = random_unitary(r.n, np.random.default_rng(50))
+    if change == "in place":
+        a[...] = b
+        b = a
+    with _counted_calls(_BUILDS) as calls:
+        y, diag = propagate_y(hist, r, b, cfg)
+    assert calls == {"_closed_system": 1}
+    y_fresh, diag_fresh = propagate_y(_copied_history(hist), r, b, cfg)
+    assert y.tobytes() == y_fresh.tobytes() and diag == diag_fresh
+
+
+def test_coefficients_give_y_and_the_residual_of_the_solve():
+    # C Y stacks R A M^+ Y on M M^+ Y - Y; at r_tol 0.5 M is rank-deficient
+    # and its residual is far from 0
+    for ell, r_tol in ((2, 1e-12), (1, 1e-12), (1, 0.5)):
+        r, hist, _, _, local = _random_history(6, 2, ell, seed=51)
+        a = random_unitary(6, local)
+        y, diag = propagate_y(hist, r, a, DelayConfig(ell=ell, r_tol=r_tol))
+        m = build_M(hist, r, DelayConfig(ell=ell))
+        y_stack = hist.stacked_reduced(DelayConfig(ell=ell))
+        z_hat = pinv_thresholded(m, r_tol).pinv @ y_stack
+        assert np.abs(y - r.matrix @ (a @ z_hat)).max() <= 1e-13 * diag.condition_number
+        assert diag.residual == pytest.approx(np.linalg.norm(m @ z_hat - y_stack),
+                                              rel=1e-12, abs=1e-13)
+        assert r_tol < 0.5 or (diag.rank_deficient and diag.residual > 1e-3)
+
+
+def test_coefficients_from_a_factor_without_a_pseudoinverse():
+    # a factor that holds no pseudoinverse (the normal equations' kind)
+    # gives F as its solve of the identity
+    r, hist, cfg, a, _ = _stepped_history()
+    y, diag = propagate_y(hist, r, a, cfg)
+    factor = hist.memory.factor
+
+    class SolveOnly(type(factor)):
+        def solve(self, b):
+            return factor.pinv @ b
+
+    solve_only = SolveOnly(factor.a, None, None, factor.effective_rank,
+                           factor.condition_number)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delay_core, "factor_least_squares", lambda m, r_tol: solve_only)
+        y_solved, diag_solved = propagate_y(_copied_history(hist), r, a, cfg)
+    assert np.abs(y_solved - y).max() <= 1e-14 * np.abs(y).max()
+    assert diag_solved.residual == pytest.approx(diag.residual, rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_closed_recurrence_has_the_propagators_spectrum(seed):
+    # mz_compare's dense case: a square, full-rank M and a constant A.  The
+    # recurrence Y(t+1) = T Y(t) has the block companion matrix T whose first
+    # block row is C's top rows and whose other rows shift Y down one block;
+    # T = M A M^-1, so its eigenvalues are A's, on the unit circle.  T's
+    # eigenvectors are M's columns times A's, so by Bauer-Fike its rounding
+    # eps ||T|| <= eps cond(M) moves them by at most eps cond(M)^2 (the
+    # largest reading of seeds 0..5 was 0.06 of that)
+    local = np.random.default_rng(seed)
+    n, m_rows = 16, 4
+    a = random_unitary(n, local)
+    r = ReductionMap(np.eye(n)[:m_rows].astype(complex))
+    cfg = DelayConfig(ell=n // m_rows - 1)
+    z = local.standard_normal(n) + 1j * local.standard_normal(n)
+    hist, _ = _filled_history(r, [a] * cfg.depth, cfg.depth, z)
+    propagate_y(hist, r, a, cfg)
+    kept = hist.memory
+    m = kept.factor.a
+    assert m.shape == (n, n) and kept.factor.effective_rank == n
+    companion = np.eye(n, k=-m_rows, dtype=complex)
+    companion[:m_rows] = kept.coefficients[:m_rows]
+    tol = 10 * np.finfo(float).eps * kept.factor.condition_number ** 2
+    eigs = np.linalg.eigvals(companion)
+    gaps = np.abs(eigs[:, None] - np.linalg.eigvals(a)[None, :])
+    assert gaps.min(axis=0).max() <= tol and gaps.min(axis=1).max() <= tol
+    assert abs(np.abs(eigs).max() - 1) <= tol
+    assert np.abs(companion - m @ a @ np.linalg.inv(m)).max() <= tol
 
 
 def test_complete_reduction_basis_coordinate_projection():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -48,11 +50,39 @@ def test_a_difference_reports_max_dq_and_the_changed_ranks(tmp_path):
     ours, theirs = tmp_path / "ours", tmp_path / "theirs"
     ours.mkdir(), theirs.mkdir()
     q = np.zeros((4, 2, 2), dtype=complex)
+    q[0, 0, 0] = 4.0
     np.savez(theirs / "run.npz", q=q, ranks=np.array([15, 15, 15]))
     q[3, 1, 0] = 2e-9j
     np.savez(ours / "run.npz", q=q, ranks=np.array([15, 14, 15]))
     assert (fingerprint.describe_difference("run", ours, theirs)
-            == "max |dQ| = 2e-09; rank changed on 1 steps: record 1: 15 -> 14")
+            == "max |dQ| = 2e-09 (5e-10 of max |Q|); rank changed on 1 steps: "
+               "record 1: 15 -> 14")
+
+
+def test_a_generic_engine_difference_reports_max_dy(tmp_path):
+    # a "y-..." configuration's worker saves its y series, named as such
+    import importlib.util
+
+    import numpy as np
+
+    spec = importlib.util.spec_from_file_location("fingerprint", ROOT / "tools" / "fingerprint.py")
+    fingerprint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fingerprint)
+    ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+    ours.mkdir(), theirs.mkdir()
+    fingerprint._run_y("y-ell0", fingerprint.CONFIGS["y-ell0"], theirs)
+    with np.load(theirs / "y-ell0.npz") as run:
+        assert sorted(run.files) == ["ranks", "y"]
+        y, ranks = run["y"], run["ranks"]
+    assert y.shape == (60, 2)
+    scale = float(np.abs(y).max())
+    y[7, 1] += 3e-12 * scale
+    np.savez(ours / "y-ell0.npz", y=y, ranks=ranks)
+    line = fingerprint.describe_difference("y-ell0", ours, theirs)
+    diff, rel = re.fullmatch(r"max \|dy\| = (\S+) \((\S+) of max \|y\|\); "
+                             r"rank changed on 0 steps", line).groups()
+    assert float(diff) == pytest.approx(3e-12 * scale, rel=1e-2)
+    assert float(rel) == pytest.approx(3e-12, rel=1e-2)
 
 
 def _broken_tree(tmp_path):

@@ -5,6 +5,8 @@ the B tensor holds regardless of basis set or choice of Slater determinants.
   c_matrix and a0) must reproduce the delay Q.
 - Conjugating the system (H -> -conj(H), C -> conj(C), a0 -> conj(a0))
   must give conj(Q).
+- At full rank the raw and the constrained modes solve for the same P, so
+  they must give the same Q.
 
 Each relation runs the whole pipeline on both sides: `build_B`, the
 ground-truth warm start, the memory, the assembly with its pivot (which
@@ -18,6 +20,7 @@ the minimum-norm solution, so the relations need not hold there.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,3 +100,18 @@ def test_relations_hold_at_n_c_16_stride_8():
     a0 = _unit(local, 16)
     _assert_relations(system, a0, DT_FINE, DelayConfig(32, 8, 1e-6), 10, "constrained",
                       local.permutation(16))
+
+
+@pytest.mark.parametrize("a0_seed", [None, 7])
+def test_raw_and_constrained_modes_agree_at_full_rank(a0_seed):
+    # criterion 5's system at ell 20, past its field cutoff (step 423), so
+    # both modes reuse their solve at the end; both are full rank at every
+    # step (16 and 15 unknowns), so the two least-squares solutions are the
+    # one P up to rounding: within 1e-13 cond, as above (the a0 of the
+    # criterion read 0.8 eps cond)
+    system = generate_synthetic_system(4, 2, seed=3)
+    a0 = None if a0_seed is None else _unit(np.random.default_rng(a0_seed), 4)
+    cfg = DelayConfig(20)
+    q_raw, cond_raw = _delay_q(system, a0, DT_COARSE, cfg, 500, "raw")
+    q_constrained, cond_constrained = _delay_q(system, a0, DT_COARSE, cfg, 500, "constrained")
+    assert np.abs(q_raw - q_constrained).max() <= 1e-13 * max(cond_raw, cond_constrained)

@@ -13,8 +13,9 @@ predicted y.  For every configuration it prints the sha256 of the Q series
 `summary.json` and of the two MZ errors (`float.hex`); a field that does not
 apply reads "-".  With `--against DIR` the same runs are repeated on the
 package in DIR/src, for example a checkout of the parent commit, and each
-configuration reads "equal" or "different"; a difference adds max |dQ|, the
-steps whose effective rank changed, and the MZ errors.  A configuration
+configuration reads "equal" or "different"; a difference adds max |dQ| (max
+|dy| for a generic-engine run), absolute and relative to the other tree's
+largest entry, the steps whose effective rank changed, and the MZ errors.  A configuration
 that raises reads "error: <type>: <message>" in place of its digests (or,
 for the other tree, after "different: against:") and counts as different;
 the other configurations still run.  The exit status is 1 if any
@@ -243,11 +244,11 @@ def _run_y(name, cfg, out: Path):
             ys.append(y)
             rows.append((diag.effective_rank, diag.condition_number, diag.residual))
         hist.push(a, y)
-    q = np.array(ys)
+    y = np.array(ys)
     ranks = np.array([rank for rank, _, _ in rows])
-    np.savez(out / f"{name}.npz", q=q, ranks=ranks)
+    np.savez(out / f"{name}.npz", y=y, ranks=ranks)
     csv = "".join(f"{rank},{float(cond).hex()},{float(res).hex()}\n" for rank, cond, res in rows)
-    return {"q": _digest(q.tobytes()), "csv": _digest(csv.encode()), "summary": "-", "mz": "-"}
+    return {"q": _digest(y.tobytes()), "csv": _digest(csv.encode()), "summary": "-", "mz": "-"}
 
 
 def _worker(src: str, out: str, names: list[str]):
@@ -292,22 +293,28 @@ def _fields(digests: dict) -> str:
 
 
 def describe_difference(name: str, ours: Path, theirs: Path) -> str:
-    """max |dQ| and the changed ranks of a delay configuration, or the two
-    pairs of MZ errors, read from the workers' .npz files."""
+    """The largest difference of the Q series of a delay configuration, or
+    of the y series of a generic-engine one, absolute and relative to the
+    largest entry of the other tree's series, and the changed ranks; or the
+    two pairs of MZ errors.  Read from the workers' .npz files."""
     import numpy as np
 
     with np.load(ours / f"{name}.npz") as a, np.load(theirs / f"{name}.npz") as b:
         if "errors" in a:
             return (f"mz errors {a['errors'].tolist()} against {b['errors'].tolist()}")
-        if a["q"].shape != b["q"].shape:
-            return f"Q shape {a['q'].shape} against {b['q'].shape}"
-        with np.errstate(invalid="ignore"):
-            dq = float(np.nan_to_num(np.abs(a["q"] - b["q"]), nan=np.inf).max())
+        series = "y" if "y" in a else "Q"
+        key = series.lower()
+        if a[key].shape != b[key].shape:
+            return f"{series} shape {a[key].shape} against {b[key].shape}"
+        with np.errstate(invalid="ignore", divide="ignore"):
+            diff = float(np.nan_to_num(np.abs(a[key] - b[key]), nan=np.inf).max())
+            rel = diff / float(np.abs(b[key]).max(initial=0.0))
         changed = np.flatnonzero(a["ranks"] != b["ranks"])
         ranks = ", ".join(f"record {i}: {b['ranks'][i]} -> {a['ranks'][i]}"
                           for i in changed[:5])
         more = f" (+{len(changed) - 5} more)" if len(changed) > 5 else ""
-        return (f"max |dQ| = {dq:.3g}; rank changed on {len(changed)} steps"
+        return (f"max |d{series}| = {diff:.3g} ({rel:.3g} of max |{series}|); "
+                f"rank changed on {len(changed)} steps"
                 + (f": {ranks}{more}" if len(changed) else ""))
 
 
