@@ -225,7 +225,13 @@ def constrained_rhs(m: np.ndarray, spec: ConstraintSpec, q_hist: np.ndarray,
                     k: int) -> np.ndarray:
     """b of `assemble_constrained_system`, for a complex M and a flat
     complex q_hist."""
-    b_ell = q_hist - spec.trace_value * m[:, spec.pivot * (spec.n_c + 1)]
+    return _pivot_rhs(m[:, spec.pivot * (spec.n_c + 1)], spec, q_hist, k)
+
+
+def _pivot_rhs(pivot: np.ndarray, spec: ConstraintSpec, q_hist: np.ndarray,
+               k: int) -> np.ndarray:
+    """`constrained_rhs` from M's pivot column alone, the only part of M it reads."""
+    b_ell = q_hist - spec.trace_value * pivot
     return b_ell.view(float)[_real_half_plan(spec, k, len(b_ell) // (k * (k + 1) // 2))[3]]
 
 
@@ -289,9 +295,11 @@ class StepRecord:
                 f"{self.min_eig_p:.17g}")
 
 
-# blocks of the memory stack that a rebuild multiplies by C_j per call:
-# numpy copies that many blocks of the overlapping input, 0.16 MB at
-# N_C = 16, K = 4, in 8 calls at ell 32
+# blocks of M that a rebuild multiplies by C_j per call: numpy copies that
+# many blocks of the overlapping input, 0.16 MB at N_C = 16, K = 4, in 8
+# calls at ell 32.  A constrained propagator at stride > 1 keeps only block 0
+# and one such chunk (0.2 MB there, against 1.35 MB for the stack), and its
+# products C_m advance stride times as many at a time
 _REBUILD_CHUNK = 4
 
 # bytes of the copies of P-hat and Q(t+dt) that a propagator holds for the
@@ -307,18 +315,23 @@ class DelayPropagator:
     with the ell*stride + 1 reduced densities Q(0) .. Q(ell*stride*dt) (ground
     truth, per the standard experimental procedure) before stepping.
 
-    The memory matrix M is kept as a stack of blocks X_j = C_j B_r C_j^dagger,
-    j = 0..ell, where C_j is the product of the last j*stride step unitaries.
-    At stride 1 the stack slides: X_{j+1}(t+dt) = E X_j(t) E^dagger with
-    E = exp(-i H(t) dt), so after the first step past a warm start each step
-    moves the stack by one frame change (two GEMMs over all blocks) instead
-    of rebuilding it.  At stride > 1 the block one step back belongs to
-    another residue class t mod stride, so the stack is rebuilt every step
-    from the products C_j; sliding there would need one stack per class.
-    Only the slide needs scratch the size of the stack (`_work`); a rebuild
-    works in place, so a propagator at stride > 1 keeps no such buffer.
-    The reduced densities live in one array, newest row first, so the
-    stacked history is its rows 0, stride, 2*stride, ...
+    The memory matrix M is made of the blocks X_j = C_j B_r C_j^dagger,
+    j = 0..ell, where B_r runs over the kept rows of B~ and C_j is the
+    product of the last j*stride step unitaries.  At stride 1 M is kept as
+    a stack of these blocks, and the stack slides: X_{j+1}(t+dt) = E X_j(t)
+    E^dagger with E = exp(-i H(t) dt), so after the first step past a warm
+    start each step moves the stack by one frame change (two GEMMs over all
+    blocks) instead of rebuilding it.  Only the slide needs scratch the size
+    of the stack (`_work`).  At stride > 1 the block one step back belongs
+    to another residue class t mod stride, so M is rebuilt from the products
+    C_j at every step that solves afresh; sliding there would need one
+    stack per class.  The raw mode rebuilds its stack in place, since it
+    solves M itself.  The constrained mode keeps no stack there: it keeps
+    X_0 and one chunk of `_REBUILD_CHUNK` blocks, builds M a chunk at a
+    time, gathers each chunk's rows of the real system into A, and keeps
+    M's pivot column, which is all that a reused step's right-hand side
+    reads.  The reduced densities live in one array, newest row first, so
+    the stacked history is its rows 0, stride, 2*stride, ...
 
     A step reuses the previous step's solve once M has stopped changing.
     M(t) is built from the last depth = ell * stride step unitaries alone,
@@ -387,10 +400,16 @@ class DelayPropagator:
         self._cprods = np.empty((depth, n, n), dtype=complex)
         # _memory[j, r] = C_j B_r C_j^dagger with B_r the r-th kept (weighted)
         # row of B~ read row-major; reshaped to ((ell+1) h, N_C^2) the stack
-        # is the memory matrix M
-        self._memory = np.empty((cfg.ell + 1, h, n, n), dtype=complex)
+        # is the memory matrix M.  A constrained propagator at stride > 1
+        # keeps block 0 and one chunk of the blocks that follow it
+        self._chunked = mode == "constrained" and cfg.stride > 1
+        blocks = 1 + (min(cfg.ell, _REBUILD_CHUNK) if self._chunked else cfg.ell)
+        self._memory = np.empty((blocks, h, n, n), dtype=complex)
         self._memory[0] = (self._weights[:, None] * self.b_tilde[self._rows]).reshape(h, n, n)
-        self._stack_current = False  # _memory holds M(t) for the next step
+        self._stack_current = False  # a full stack in _memory holds M(t) for the next step
+        if self._chunked:
+            # M's pivot column, written by every fresh step
+            self._pivot = np.empty((cfg.ell + 1) * h, dtype=complex)
         # blocks 1..ell of a slide in the making, X_j E^dagger and then E X_j
         # E^dagger; a rebuild works in place, so only stride 1 needs them
         if cfg.stride == 1:
@@ -489,29 +508,66 @@ class DelayPropagator:
 
     # -- stepping ---------------------------------------------------------
 
+    def _memory_blocks(self, lo: int, hi: int, out: np.ndarray):
+        """Write blocks lo..hi-1 of M(t), 1 <= lo, into `out` (hi - lo
+        blocks): X_0 C_j^dagger by one batched GEMM, then C_j times it in
+        place, for which numpy copies the overlapping input."""
+        n, h, s = self.n_c, len(self._rows), self.cfg.stride
+        c = self._cprods[lo * s - 1:hi * s - 1:s]  # C_j, j = lo..hi-1
+        # an overflow shows as a non-finite M, which the solve reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(self._memory[0].reshape(h * n, n), c.conj().transpose(0, 2, 1),
+                      out=out.reshape(-1, h * n, n))
+            np.matmul(c[:, None], out, out=out)
+
     def _memory_matrix(self) -> np.ndarray:
-        """M(t), as a view of the stack that the next step overwrites.
+        """M(t), as a view of the stack that the next step overwrites (at
+        stride 1, and in raw mode).
 
         Builds the stack from the products C_j unless it is already current:
         at stride 1 after the first step past a warm start, and at stride > 1
-        until `_advance_memory` next updates the products.  The build writes
-        X_0 C_j^dagger into block j, then multiplies C_j in place,
+        until `_advance_memory` next updates the products.  The build runs
         `_REBUILD_CHUNK` blocks at a time, so that numpy's copy of the
         overlapping input is one chunk, not the stack.
         """
-        n, h = self.n_c, len(self._rows)
         if not self._stack_current:
-            c = self._cprods[self.cfg.stride - 1::self.cfg.stride]  # C_j, j = 1..ell
-            tail = self._memory[1:]
-            # an overflow shows as a non-finite M, which the solve reports
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.matmul(self._memory[0].reshape(h * n, n), c.conj().transpose(0, 2, 1),
-                          out=tail.reshape(-1, h * n, n))
-                for j in range(0, len(c), _REBUILD_CHUNK):
-                    chunk = tail[j:j + _REBUILD_CHUNK]
-                    np.matmul(c[j:j + _REBUILD_CHUNK, None], chunk, out=chunk)
+            top = self.cfg.ell + 1
+            for lo in range(1, top, _REBUILD_CHUNK):
+                hi = min(lo + _REBUILD_CHUNK, top)
+                self._memory_blocks(lo, hi, self._memory[lo:hi])
             self._stack_current = True
-        return self._memory.reshape(-1, n * n)
+        return self._memory.reshape(-1, self.n_c ** 2)
+
+    def _constrained_system(self, q_hist: np.ndarray):
+        """(A, b) of M(t) x = q_hist in the free real coordinates, A in `_a`.
+
+        At stride 1 it is assembled from the stack.  At stride > 1 M is
+        built a chunk at a time behind block 0: the first chunk of blocks
+        0.._REBUILD_CHUNK, then `_REBUILD_CHUNK` blocks at a time, each
+        gathered into its rows of A (`assemble_constrained_system`, which is
+        exact entry by entry) with its part of M's pivot column kept.
+        """
+        if not self._chunked:
+            return assemble_constrained_system(self._memory_matrix(), self.spec, q_hist,
+                                               self.k_orb, out=self._a)
+        n, h, k2, top = self.n_c, len(self._rows), self.k_orb ** 2, self.cfg.ell + 1
+        pos = self.spec.pivot * (n + 1)
+        bounds = [0, *range(1 + _REBUILD_CHUNK, top, _REBUILD_CHUNK), top]
+        for lo, hi in zip(bounds, bounds[1:]):
+            first = max(lo, 1)  # block 0 stays in place
+            built = self._memory[1:1 + hi - first]
+            self._memory_blocks(first, hi, built)
+            m = (self._memory[:hi] if lo == 0 else built).reshape(-1, n * n)
+            self._pivot[lo * h:hi * h] = m[:, pos]
+            assemble_constrained_system(m, self.spec, q_hist[lo * h:hi * h], self.k_orb,
+                                        out=self._a[lo * k2:hi * k2])
+        return self._a, self._constrained_rhs(q_hist)
+
+    def _constrained_rhs(self, q_hist: np.ndarray) -> np.ndarray:
+        """b of `_constrained_system` for the M of the last fresh step."""
+        if not self._chunked:
+            return constrained_rhs(self._memory_matrix(), self.spec, q_hist, self.k_orb)
+        return _pivot_rhs(self._pivot, self.spec, q_hist, self.k_orb)
 
     def _advance_memory(self, e: np.ndarray):
         """Carry the memory state from t to t + dt with E = e.  At stride 1
@@ -530,9 +586,14 @@ class DelayPropagator:
                 np.matmul(e, tail.reshape(n, -1), out=work.reshape(n, -1))
                 np.copyto(tail.reshape(-1, n, n), work.reshape(n, -1, n).transpose(1, 0, 2))
             else:
-                # C_{m+1} = E C_m; numpy buffers the overlapping input
-                np.matmul(e, self._cprods[:-1], out=self._cprods[1:])
-                self._cprods[0] = e
+                # C_{m+1} = E C_m, top chunk first, so that each chunk reads
+                # products that no chunk has yet overwritten; numpy copies
+                # the overlapping input of one chunk, not of every product
+                c, size = self._cprods, _REBUILD_CHUNK * self.cfg.stride
+                for hi in range(len(c) - 1, 0, -size):
+                    lo = max(hi - size, 0)
+                    np.matmul(e, c[lo:hi], out=c[lo + 1:hi + 1])
+                c[0] = e
                 self._stack_current = False
 
     def _stacked_history(self) -> np.ndarray:
@@ -551,7 +612,6 @@ class DelayPropagator:
             raise ValidationError("propagator is not warm-started")
         t = self._step_index * self.dt
         solved = self._solved  # a factor of this step's M, if it is kept
-        m = self._memory_matrix()
         q_hist = self._stacked_history()
         # a non-finite system makes the gate raise NumericalError and the
         # SVD raise LinAlgError; both are reported with the step
@@ -559,14 +619,13 @@ class DelayPropagator:
             if self.mode == "raw":
                 rhs = q_hist
                 if solved is None:
-                    solved = factor_least_squares(m, self.cfg.r_tol)
+                    solved = factor_least_squares(self._memory_matrix(), self.cfg.r_tol)
                 x = solved.solve(rhs)
             elif solved is None:
-                a, rhs = assemble_constrained_system(m, self.spec, q_hist, self.k_orb,
-                                                     out=self._a)
+                a, rhs = self._constrained_system(q_hist)
                 x, solved = solve_constrained(a, rhs, self.cfg.r_tol)
             else:
-                rhs = constrained_rhs(m, self.spec, q_hist, self.k_orb)
+                rhs = self._constrained_rhs(q_hist)
                 x = solved.solve(rhs)
             residual = solved.residual(x, rhs)
             if self.mode == "raw":

@@ -6,6 +6,7 @@ keep a rename or deletion in src/ from breaking the benchmark unnoticed.
 
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,3 +58,23 @@ def test_traced_workloads_run_and_restore_originals():
     # run calls no pseudoinverse)
     assert totals["delay_core.build_M"]["calls"] == 1
     assert totals["numkit.pinv_thresholded"]["calls"] == 1
+
+
+def test_every_strided_step_assembles_and_solves_once():
+    # nc16-ell32-k8 builds M a chunk at a time at stride 8; each step still
+    # calls assemble_constrained_system (once per chunk) and solves the
+    # whole (ell + 1) K^2 x (N_C^2 - 1) real system once, so that the traced
+    # assembly and solve spans cover the strided step
+    delay = replace(workloads.WORKLOADS["nc16-ell32-k8"], n_steps=256 + 3)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        episode = delay.solve(delay.default_seed)
+    assert episode.attempted == 3 and episode.failed == 0
+    steps = [i for i, (name, *_) in enumerate(tracer.spans) if name == "constraint_prop.step"]
+    assert len(steps) == 3
+    for i in steps:
+        children = Counter(name for name, _, _, parent in tracer.spans if parent == i)
+        assert children["constraint_prop.assemble_constrained_system"] >= 1
+        assert children["constraint_prop.solve_constrained"] == 1
+    assert tracer.gauges == {"constraint_prop.solve.rows": 2 * 33 * 16,
+                             "constraint_prop.solve.cols": 255}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rdmdelay import constraint_prop
 from rdmdelay.ci_model import FieldProfile, build_B
 from rdmdelay.constraint_prop import (
     ConstraintSpec,
@@ -487,11 +488,12 @@ def test_schur_rank_check_implication_over_random_instances():
 
 
 class _ProductPropagator(DelayPropagator):
-    """Reference: every step rebuilds the memory stack from its own products
+    """Reference: every step rebuilds the blocks of M from its own products
     C_m of the last m step unitaries, formed as ``acc @ E`` over the warm-start
     window and then by C_{m+1} = E C_m, with the batched blocks of
-    `DelayPropagator._memory_matrix`.  It never slides a stack, and never
-    reuses a solve: every step factors its own M.  Its blocks hold the
+    `DelayPropagator._memory_blocks`, the hook through which the engine
+    builds its stack and its strided chunks.  It never slides a stack, and
+    never reuses a solve: every step factors its own M.  Its blocks hold the
     engine's row set: the kept, weighted rows of B~ (all K^2 rows with
     weight 1 in raw mode)."""
 
@@ -514,13 +516,14 @@ class _ProductPropagator(DelayPropagator):
         b_c = self._b_rows().reshape(h * n, n) @ c.conj().transpose(0, 2, 1)
         return np.matmul(c[:, None], b_c.reshape(-1, h, n, n)).reshape(-1, n * n)
 
-    def _memory_matrix(self):
-        c = self._ref_prods[self.cfg.stride - 1::self.cfg.stride]
-        return np.vstack([self._b_rows(), self._blocks(c)])
+    def _memory_blocks(self, lo, hi, out):
+        s = self.cfg.stride
+        out[...] = self._blocks(self._ref_prods[lo * s - 1:hi * s - 1:s]).reshape(out.shape)
 
     def _advance_memory(self, e):
         self._ref_prods[1:] = e @ self._ref_prods[:-1]
         self._ref_prods[0] = e
+        self._stack_current = False  # the next M is built anew, never slid
 
     def step(self):
         q_next = super().step()
@@ -539,6 +542,18 @@ class _KronPropagator(_ProductPropagator):
                          or [np.zeros((0, n * n))])
 
 
+def _memory_of(prop):
+    """M(t) of the propagator's next step: its stack at stride 1 and in raw
+    mode; a constrained propagator at stride > 1 keeps no stack, so there,
+    in a new array, block 0 and blocks 1..ell from its block hook."""
+    if not prop._chunked:
+        return prop._memory_matrix()
+    blocks = np.empty((prop.cfg.ell + 1, *prop._memory.shape[1:]), dtype=complex)
+    blocks[0] = prop._memory[0]
+    prop._memory_blocks(1, prop.cfg.ell + 1, blocks[1:])
+    return blocks.reshape(-1, prop.n_c ** 2)
+
+
 def _compare_with_kron(n_c, k, seed, h0_scale, dt, ell, stride, r_tol, rank, q_tol,
                        mode="constrained", n_delay=6):
     s = generate_synthetic_system(n_c, k, seed=seed, h0_scale=h0_scale)
@@ -551,7 +566,7 @@ def _compare_with_kron(n_c, k, seed, h0_scale, dt, ell, stride, r_tol, rank, q_t
         prop.warm_start([q_true[j] for j in range(cfg.depth + 1)])
     q_fast, q_ref = [], []
     for _ in range(n_delay):
-        assert np.abs(fast._memory_matrix() - ref._memory_matrix()).max() < 1e-12
+        assert np.abs(_memory_of(fast) - _memory_of(ref)).max() < 1e-12
         q_fast.append(fast.step())
         q_ref.append(ref.step())
     assert [r.effective_rank for r in fast.records] == [rank] * n_delay
@@ -607,8 +622,17 @@ def test_stride_above_one_rebuilds_the_stack_bitwise():
     ref = _ProductPropagator(s, b, cfg, dt)
     for prop in (fast, ref):
         prop.warm_start([q_true[j] for j in range(cfg.depth + 1)])
-    q_fast = [fast.step() for _ in range(n_delay)]
-    q_ref = [ref.step() for _ in range(n_delay)]
+    q_fast, q_ref = [], []
+    for _ in range(n_delay):
+        m_ref = _memory_of(ref)
+        a_ref, _ = assemble_constrained_system(m_ref, ref.spec, ref._stacked_history(), 4)
+        q_fast.append(fast.step())
+        q_ref.append(ref.step())
+        # fast builds its system a chunk at a time: A is the one assembled
+        # from the reference's whole M in one call, and the pivot column it
+        # keeps for reuse is M's, bit for bit
+        assert _same_bits(fast._a, a_ref)
+        assert _same_bits(fast._pivot, m_ref[:, fast.spec.pivot * 17])
     assert _same_bits(q_fast, q_ref)
     assert [r.csv_row() for r in fast.records] == [r.csv_row() for r in ref.records]
 
@@ -627,11 +651,12 @@ def _crit7_stride8(n_delay):
 
 
 def test_strided_step_holds_no_stack_sized_scratch():
-    # at stride > 1 the rebuild of M works in place, and the gate reduces the
-    # Gram matrix N it owns: a propagator keeps its stack, the products C_m,
-    # A and the history, and a fresh step adds no more than the larger of A
-    # (its assembly's second gather) and N with its Cholesky factor, plus
-    # LAPACK's workspace and vectors (a quarter of N covers them)
+    # at stride > 1 a constrained propagator builds M a chunk at a time into
+    # A, and the gate reduces the Gram matrix N it owns: a propagator keeps
+    # block 0 and one chunk of M, M's pivot column, the products C_m, A and
+    # the history, and a fresh step adds no more than the larger of A and N
+    # with its Cholesky factor, plus LAPACK's workspace and vectors (a
+    # quarter of N covers them)
     warm, seed = _crit7_stride8(2)
     for _ in range(2):  # numpy's and LAPACK's first-call allocations
         warm.step()
@@ -649,11 +674,34 @@ def test_strided_step_holds_no_stack_sized_scratch():
         step_peak = tracemalloc.get_traced_memory()[1] - between
     finally:
         tracemalloc.stop()
-    arrays = sum(x.nbytes for x in (prop._memory, prop._cprods, prop._a, prop._q_hist))
-    stack_tail = prop._memory[1:].nbytes
+    # bytes at ell 32, stride 8, K = 4, N_C = 16, with 255 free coordinates
+    ell, depth, h, k2, n2, n_free = 32, 256, 10, 16, 256, 255
+    block = h * n2 * 16
+    stack_tail = ell * block
+    a_bytes = (ell + 1) * k2 * n_free * 8
+    gram = n_free ** 2 * 8
+    arrays = ((1 + constraint_prop._REBUILD_CHUNK) * block + depth * n2 * 16 + a_bytes
+              + (depth + 1) * h * 16 + (ell + 1) * h * 16)
+    assert sum(x.nbytes for x in (prop._memory, prop._cprods, prop._a, prop._q_hist,
+                                  prop._pivot)) == arrays
     assert kept - arrays < stack_tail / 4
-    gram = prop._a.shape[1] ** 2 * 8
-    assert step_peak <= max(prop._a.nbytes, 2 * gram) + gram / 4
+    assert step_peak <= max(a_bytes, 2 * gram) + gram / 4
+    # no complex array of the propagator holds the (ell + 1)-block stack
+    assert len(prop._memory) <= constraint_prop._REBUILD_CHUNK + 1
+    assert max(x.size for x in vars(prop).values()
+               if isinstance(x, np.ndarray) and x.dtype.kind == "c") < (ell + 1) * h * n2
+
+
+@pytest.mark.parametrize("mode, stride, blocks", [
+    ("constrained", 1, 13), ("raw", 1, 13), ("raw", 2, 13),
+    ("constrained", 2, 1 + constraint_prop._REBUILD_CHUNK),
+])
+def test_only_the_strided_constrained_mode_drops_the_stack(mode, stride, blocks):
+    # the stride-1 slide and the raw solve keep M as a stack of ell + 1 blocks
+    s = generate_synthetic_system(4, 2, seed=3)
+    prop = DelayPropagator(s, build_B(s), DelayConfig(ell=12, stride=stride), 0.08268,
+                           mode=mode)
+    assert len(prop._memory) == blocks
 
 
 def test_gram_of_the_strided_system_is_exactly_symmetric():

@@ -160,8 +160,15 @@ def _real_case(name):
     q_true = reduced_density_series(propagate_coefficients(s, dt, cfg.depth), b)
     prop = DelayPropagator(s, b, cfg, dt)
     prop.warm_start(list(q_true))
-    a, rhs = assemble_constrained_system(prop._memory_matrix(), prop.spec,
+    # at stride > 1 the propagator keeps no stack: M is block 0 and blocks
+    # 1..ell from the hook its steps build M with
+    m = np.empty((cfg.ell + 1, *prop._memory.shape[1:]), dtype=complex)
+    m[0] = prop._memory[0]
+    prop._memory_blocks(1, cfg.ell + 1, m[1:])
+    a, rhs = assemble_constrained_system(m.reshape(-1, 256), prop.spec,
                                          prop._stacked_history(), 4)
+    prop.step()
+    assert np.array_equal(a, prop._a)  # the system the step solved
     return a, rhs, cfg.r_tol, 255
 
 

@@ -69,12 +69,24 @@ def _factorizations(monkeypatch):
     return _counter(monkeypatch, "factor_least_squares")
 
 
+def _memory_of(prop):
+    """M(t) of the propagator's next step: its stack at stride 1 and in raw
+    mode; a constrained propagator at stride > 1 keeps no stack, so there,
+    in a new array, block 0 and blocks 1..ell from its block hook."""
+    if not prop._chunked:
+        return prop._memory_matrix()
+    blocks = np.empty((prop.cfg.ell + 1, *prop._memory.shape[1:]), dtype=complex)
+    blocks[0] = prop._memory[0]
+    prop._memory_blocks(1, prop.cfg.ell + 1, blocks[1:])
+    return blocks.reshape(-1, prop.n_c ** 2)
+
+
 def _fresh_solve(prop):
     """(P-hat, residual, rank, cond) of the next step, solved afresh from the
-    propagator's stack and history by the module's own functions, in new
+    propagator's M and history by the module's own functions, in new
     arrays laid out as the propagator's (the memory order of the real
     system decides how BLAS rounds its products)."""
-    m = prop._memory_matrix()
+    m = _memory_of(prop)
     q_hist = prop._stacked_history()
     if prop.mode == "constrained":
         a, rhs = assemble_constrained_system(m, prop.spec, q_hist, prop.k_orb,

@@ -85,6 +85,10 @@ CONFIGS = {
     # strides on criterion 5's system
     "ell8-k2-raw": _delay(CRIT5, DT_COARSE, 400, 8, 2, mode="raw"),
     "ell4-k3": _delay(CRIT5, DT_COARSE, 400, 4, 3),
+    # the same stride past the field cutoff: 84 steps reuse a kept Cholesky
+    # factor, or a kept pseudoinverse in raw mode
+    "ell4-k3-reuse": _delay(CRIT5, DT_COARSE, 520, 4, 3),
+    "ell4-k3-reuse-raw": _delay(CRIT5, DT_COARSE, 520, 4, 3, mode="raw"),
     # criterion 7's strides on short horizons; stride 1 takes the SVD path
     **{f"crit7-k{k}": _delay(CRIT7, DT_FINE, 32 * k + 16, 32, k, 1e-6, a0_seed=11)
        for k in (1, 2, 4)},
