@@ -182,6 +182,41 @@ def _real_half_plan(spec: ConstraintSpec, k: int, blocks: int):
     return x, y, np.repeat([-1.0, 1.0, -1.0], [n_d, n_p, n_p]), r
 
 
+@functools.lru_cache(maxsize=4)
+def _strided_plan(spec: ConstraintSpec, k: int, shape: tuple, strides: tuple):
+    """x and y of `_real_half_plan`, block by block, as offsets into the
+    floats of a (blocks, h, N_C, N_C) M with these byte strides, counted
+    from its first entry."""
+    x, y, _, _ = _real_half_plan(spec, k, shape[0])
+    n = spec.n_c
+    step = [s // 8 for s in strides]  # in floats
+
+    def offsets(pos):  # from a position in a C-ordered block's float view
+        row, rest = np.divmod(pos, 2 * n * n)
+        col, part = np.divmod(rest, 2)
+        return row * step[1] + col // n * step[2] + col % n * step[3] + part
+
+    blocks = (np.arange(shape[0]) * step[0])[:, None, None]
+    return blocks + offsets(x), blocks + offsets(y)
+
+
+def _gather_plan(m: np.ndarray, spec: ConstraintSpec, k: int):
+    """(floats, x, y): the floats of a (blocks, h, N_C, N_C) M, and where
+    each block of A takes them from, along their last axis.  A C-ordered M
+    is read block by block at `_real_half_plan`'s positions; an M whose
+    axes are a transpose of a C-ordered array (the propagator's stack,
+    whose rows are outermost) is read as one flat array at the offsets of
+    its strides; any other M is copied to C order first."""
+    if m.flags.c_contiguous:
+        x, y, _, _ = _real_half_plan(spec, k, len(m))
+        return m.view(float).reshape(len(m), -1), x, y
+    base = m.transpose(sorted(range(4), key=m.strides.__getitem__, reverse=True))
+    if not base.flags.c_contiguous:
+        return _gather_plan(np.ascontiguousarray(m), spec, k)
+    return (base.reshape(-1).view(float),
+            *_strided_plan(spec, k, m.shape, m.strides))
+
+
 def assemble_constrained_system(m: np.ndarray, spec: ConstraintSpec, q_hist: np.ndarray,
                                 k: int, *, out: np.ndarray | None = None):
     """The real system (A, b) of M x = q_hist in the free real coordinates.
@@ -189,50 +224,61 @@ def assemble_constrained_system(m: np.ndarray, spec: ConstraintSpec, q_hist: np.
     M S~ loses its zero-pattern columns, and its pivot column is subtracted
     from the other diagonal columns and deleted; b_ell = q_hist -
     trace_value * (M S~) pivot column.  M and q_hist hold blocks of
-    `hermitian_half(k)` rows, and each block of A and b keeps the real part
-    of every row, then the imaginary part of the upper rows: K^2 real rows
-    with the Gram matrix and A^T b of all 2 K^2 (the diagonal rows'
-    imaginary parts vanish for a Hermitian-preserving M, and each lower row
-    is the conjugate of an upper one).  Each column diag - pivot, u + lo or
-    i (u - lo) of M S~ takes two parts of each row of M, gathered from M's
-    float view straight into A, or into `out`, a C-ordered float array of
-    A's shape, when one is given.
+    h = `hermitian_half(k)` rows: M is a 2-D (rows, N_C^2) array, or a
+    (blocks, h, N_C, N_C) array of any strides whose [j, r] is row (j, r)
+    of M as an N_C x N_C matrix read row-major.  Each block of A and b
+    keeps the real part of every row, then the imaginary part of the upper
+    rows: K^2 real rows with the Gram matrix and A^T b of all 2 K^2 (the
+    diagonal rows' imaginary parts vanish for a Hermitian-preserving M,
+    and each lower row is the conjugate of an upper one).  Each column
+    diag - pivot, u + lo or i (u - lo) of M S~ takes two parts of each row
+    of M, gathered from M's floats (`_gather_plan`) straight into A, or
+    into `out`, a C-ordered float array of A's shape, when one is given.
     """
-    m = np.ascontiguousarray(as_complex_matrix(m, "M"))
-    rows, n = m.shape[0], spec.n_c
-    if m.shape[1] != n * n:
-        raise ValidationError(f"M has {m.shape[1]} columns, expected {n * n}")
+    n, h = spec.n_c, k * (k + 1) // 2
+    m = np.asarray(m, dtype=complex)
+    if m.ndim == 4:
+        if m.shape[1:] != (h, n, n):
+            raise ValidationError(f"M has shape {m.shape}, expected (blocks, {h}, {n}, {n})")
+        rows = len(m) * h
+    else:
+        rows = as_complex_matrix(m, "M").shape[0]
+        if m.shape[1] != n * n:
+            raise ValidationError(f"M has {m.shape[1]} columns, expected {n * n}")
     q_hist = np.asarray(q_hist, dtype=complex).ravel()
     if q_hist.size != rows:
         raise ValidationError(f"q_hist has length {q_hist.size}, expected {rows}")
-    h = k * (k + 1) // 2
     if not k >= 1 or rows % h:
         raise ValidationError(f"M has {rows} rows, not whole blocks of K(K+1)/2 = {h} rows")
-    x, y, s, _ = _real_half_plan(spec, k, rows // h)
+    if m.ndim == 2:
+        m = np.ascontiguousarray(m).reshape(-1, h, n, n)
+    _, _, s, r = _real_half_plan(spec, k, len(m))
     if out is None:  # C order, as the propagator's kept array: BLAS rounds by layout
-        out = np.empty((rows // h * k * k, len(s)))
-    m_float = m.view(float).reshape(rows // h, -1)
-    a = out.reshape(rows // h, k * k, len(s))
+        out = np.empty((len(m) * k * k, len(s)))
+    m_float, x, y = _gather_plan(m, spec, k)
+    a = out.reshape(len(m), k * k, len(s))
     # every position is in range; "clip" lets take write into `out` unbuffered
-    np.take(m_float, x, axis=1, out=a, mode="clip")
-    second = np.take(m_float, y, axis=1, mode="clip")
+    np.take(m_float, x, axis=-1, out=a, mode="clip")
+    second = np.take(m_float, y, axis=-1, mode="clip")
     # a sign of +-1 is exact, and x + (-y) is x - y bit for bit
     np.add(a, np.multiply(second, s, out=second), out=a)
-    return out, constrained_rhs(m, spec, q_hist, k)
+    return out, _pivot_rhs(m[:, :, spec.pivot, spec.pivot].reshape(-1), spec, q_hist, r)
 
 
 def constrained_rhs(m: np.ndarray, spec: ConstraintSpec, q_hist: np.ndarray,
                     k: int) -> np.ndarray:
-    """b of `assemble_constrained_system`, for a complex M and a flat
+    """b of `assemble_constrained_system`, for a 2-D complex M and a flat
     complex q_hist."""
-    return _pivot_rhs(m[:, spec.pivot * (spec.n_c + 1)], spec, q_hist, k)
+    rows = _real_half_plan(spec, k, len(m) // (k * (k + 1) // 2))[3]
+    return _pivot_rhs(m[:, spec.pivot * (spec.n_c + 1)], spec, q_hist, rows)
 
 
 def _pivot_rhs(pivot: np.ndarray, spec: ConstraintSpec, q_hist: np.ndarray,
-               k: int) -> np.ndarray:
-    """`constrained_rhs` from M's pivot column alone, the only part of M it reads."""
+               rows: np.ndarray) -> np.ndarray:
+    """`constrained_rhs` from M's pivot column alone, the only part of M it
+    reads, with rows the float positions r of `_real_half_plan`."""
     b_ell = q_hist - spec.trace_value * pivot
-    return b_ell.view(float)[_real_half_plan(spec, k, len(b_ell) // (k * (k + 1) // 2))[3]]
+    return b_ell.view(float)[rows]
 
 
 def hermitian_half(k: int):
@@ -320,18 +366,21 @@ class DelayPropagator:
     product of the last j*stride step unitaries.  At stride 1 M is kept as
     a stack of these blocks, and the stack slides: X_{j+1}(t+dt) = E X_j(t)
     E^dagger with E = exp(-i H(t) dt), so after the first step past a warm
-    start each step moves the stack by one frame change (two GEMMs over all
-    blocks) instead of rebuilding it.  Only the slide needs scratch the size
-    of the stack (`_work`).  At stride > 1 the block one step back belongs
-    to another residue class t mod stride, so M is rebuilt from the products
-    C_j at every step that solves afresh; sliding there would need one
-    stack per class.  The raw mode rebuilds its stack in place, since it
-    solves M itself.  The constrained mode keeps no stack there: it keeps
-    X_0 and one chunk of `_REBUILD_CHUNK` blocks, builds M a chunk at a
-    time, gathers each chunk's rows of the real system into A, and keeps
-    M's pivot column, which is all that a reused step's right-hand side
-    reads.  The reduced densities live in one array, newest row first, so
-    the stacked history is its rows 0, stride, 2*stride, ...
+    start each step moves the stack by one frame change instead of
+    rebuilding it.  The stack keeps rows outermost (row a of every block
+    in one slab), so the frame change is two GEMMs, E^dagger on each slab
+    and E on all slabs at once, with no copy of the stack.  Only the slide
+    needs scratch the size of the stack (`_work`).  At stride > 1 the block
+    one step back belongs to another residue class t mod stride, so M is
+    rebuilt from the products C_j at every step that solves afresh; sliding
+    there would need one stack per class.  The raw mode rebuilds its stack
+    in place, since it solves M itself.  The constrained mode keeps no
+    stack there: it keeps X_0 and one chunk of `_REBUILD_CHUNK` blocks,
+    builds M a chunk at a time and gathers each chunk's rows of the real
+    system into A.  At every stride a constrained step keeps M's pivot
+    column, which is all that a reused step's right-hand side reads.  The
+    reduced densities live in one array, newest row first, so the stacked
+    history is its rows 0, stride, 2*stride, ...
 
     A step reuses the previous step's solve once M has stopped changing.
     M(t) is built from the last depth = ell * stride step unitaries alone,
@@ -398,28 +447,36 @@ class DelayPropagator:
         # _cprods[m-1] = C_m(t), the product of the last m step unitaries; at
         # stride 1 it is only read for the first stack after a warm start
         self._cprods = np.empty((depth, n, n), dtype=complex)
-        # _memory[j, r] = C_j B_r C_j^dagger with B_r the r-th kept (weighted)
-        # row of B~ read row-major; reshaped to ((ell+1) h, N_C^2) the stack
-        # is the memory matrix M.  A constrained propagator at stride > 1
-        # keeps block 0 and one chunk of the blocks that follow it
+        # the blocks X_j(r) = C_j B_r C_j^dagger of M, j = 0..ell, with B_r
+        # the r-th kept (weighted) row of B~ read row-major.  A full stack
+        # (stride 1, and the raw mode) keeps rows outermost, _memory[a, j, r]
+        # the row a of X_j(r), so that a slide multiplies whole row slabs.  A
+        # constrained propagator at stride > 1 keeps block 0 and one chunk of
+        # the blocks that follow it, block by block.  _blockwise[j, r] is X_j(r)
+        # in either layout; reshaped to ((ell+1) h, N_C^2) it is M
         self._chunked = mode == "constrained" and cfg.stride > 1
-        blocks = 1 + (min(cfg.ell, _REBUILD_CHUNK) if self._chunked else cfg.ell)
-        self._memory = np.empty((blocks, h, n, n), dtype=complex)
-        self._memory[0] = (self._weights[:, None] * self.b_tilde[self._rows]).reshape(h, n, n)
-        self._stack_current = False  # a full stack in _memory holds M(t) for the next step
         if self._chunked:
-            # M's pivot column, written by every fresh step
-            self._pivot = np.empty((cfg.ell + 1) * h, dtype=complex)
-        # blocks 1..ell of a slide in the making, X_j E^dagger and then E X_j
-        # E^dagger; a rebuild works in place, so only stride 1 needs them
+            self._memory = np.empty((1 + min(cfg.ell, _REBUILD_CHUNK), h, n, n), dtype=complex)
+            self._blockwise = self._memory
+        else:
+            self._memory = np.empty((n, cfg.ell + 1, h, n), dtype=complex)
+            self._blockwise = self._memory.transpose(1, 2, 0, 3)
+        self._blockwise[0] = (self._weights[:, None] * self.b_tilde[self._rows]).reshape(h, n, n)
+        self._stack_current = False  # a full stack in _memory holds M(t) for the next step
+        # rows a of X_j E^dagger, j < ell, in a slide: only stride 1 slides
         if cfg.stride == 1:
-            self._work = np.empty((cfg.ell, h * n, n), dtype=complex)
+            self._work = np.empty((n, cfg.ell * h, n), dtype=complex)
         if mode == "constrained":
             # the real system, rewritten by every fresh step: a new array of
             # this size (1.1 MB at N_C = 16, ell 32) costs every step a round
             # of page faults
             n_free = len(self.spec.kept_coords(self.basis))
             self._a = np.empty(((cfg.ell + 1) * k2, n_free))
+            # M's pivot column, written by every fresh step, and the float
+            # positions of b in b_ell, which is all that a reused step's
+            # right-hand side reads
+            self._pivot = np.empty((cfg.ell + 1) * h, dtype=complex)
+            self._rhs_rows = _real_half_plan(self.spec, self.k_orb, cfg.ell + 1)[3]
         # the factored system of the last solve while M is bitwise its M
         # (else None), the step unitary the last step applied, and the count
         # of consecutive steps since the warm start that applied it
@@ -509,82 +566,84 @@ class DelayPropagator:
     # -- stepping ---------------------------------------------------------
 
     def _memory_blocks(self, lo: int, hi: int, out: np.ndarray):
-        """Write blocks lo..hi-1 of M(t), 1 <= lo, into `out` (hi - lo
-        blocks): X_0 C_j^dagger by one batched GEMM, then C_j times it in
-        place, for which numpy copies the overlapping input."""
+        """Write blocks lo..hi-1 of M(t), 1 <= lo, into `out`, a (hi - lo,
+        h, N_C, N_C) array of any strides: X_0 C_j^dagger by one batched GEMM
+        into a new array, then C_j times each of its blocks."""
         n, h, s = self.n_c, len(self._rows), self.cfg.stride
         c = self._cprods[lo * s - 1:hi * s - 1:s]  # C_j, j = lo..hi-1
         # an overflow shows as a non-finite M, which the solve reports
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(self._memory[0].reshape(h * n, n), c.conj().transpose(0, 2, 1),
-                      out=out.reshape(-1, h * n, n))
-            np.matmul(c[:, None], out, out=out)
+            right = np.matmul(self._blockwise[0].reshape(h * n, n), c.conj().transpose(0, 2, 1))
+            np.matmul(c[:, None], right.reshape(-1, h, n, n), out=out)
 
-    def _memory_matrix(self) -> np.ndarray:
-        """M(t), as a view of the stack that the next step overwrites (at
-        stride 1, and in raw mode).
+    def _stack(self) -> np.ndarray:
+        """The blocks of M(t) (`_blockwise`), which the next step overwrites.
 
         Builds the stack from the products C_j unless it is already current:
         at stride 1 after the first step past a warm start, and at stride > 1
         until `_advance_memory` next updates the products.  The build runs
-        `_REBUILD_CHUNK` blocks at a time, so that numpy's copy of the
-        overlapping input is one chunk, not the stack.
+        `_REBUILD_CHUNK` blocks at a time, so that the products X_0 C_j^dagger
+        it holds at once are one chunk, not the stack.
         """
         if not self._stack_current:
             top = self.cfg.ell + 1
             for lo in range(1, top, _REBUILD_CHUNK):
                 hi = min(lo + _REBUILD_CHUNK, top)
-                self._memory_blocks(lo, hi, self._memory[lo:hi])
+                self._memory_blocks(lo, hi, self._blockwise[lo:hi])
             self._stack_current = True
-        return self._memory.reshape(-1, self.n_c ** 2)
+        return self._blockwise
+
+    def _memory_matrix(self) -> np.ndarray:
+        """M(t) as a 2-D array: a copy of the stack, whose rows are outermost."""
+        return self._stack().reshape(-1, self.n_c ** 2)
 
     def _constrained_system(self, q_hist: np.ndarray):
-        """(A, b) of M(t) x = q_hist in the free real coordinates, A in `_a`.
+        """(A, b) of M(t) x = q_hist in the free real coordinates, A in `_a`,
+        keeping M's pivot column for the reused steps.
 
-        At stride 1 it is assembled from the stack.  At stride > 1 M is
-        built a chunk at a time behind block 0: the first chunk of blocks
+        At stride 1 it is gathered from the stack in one call.  At stride > 1
+        M is built a chunk at a time behind block 0: the first chunk of blocks
         0.._REBUILD_CHUNK, then `_REBUILD_CHUNK` blocks at a time, each
         gathered into its rows of A (`assemble_constrained_system`, which is
-        exact entry by entry) with its part of M's pivot column kept.
+        exact entry by entry).
         """
+        h, k2, p = len(self._rows), self.k_orb ** 2, self.spec.pivot
         if not self._chunked:
-            return assemble_constrained_system(self._memory_matrix(), self.spec, q_hist,
-                                               self.k_orb, out=self._a)
-        n, h, k2, top = self.n_c, len(self._rows), self.k_orb ** 2, self.cfg.ell + 1
-        pos = self.spec.pivot * (n + 1)
+            m = self._stack()
+            np.copyto(self._pivot.reshape(-1, h), m[:, :, p, p])
+            return assemble_constrained_system(m, self.spec, q_hist, self.k_orb, out=self._a)
+        top = self.cfg.ell + 1
         bounds = [0, *range(1 + _REBUILD_CHUNK, top, _REBUILD_CHUNK), top]
         for lo, hi in zip(bounds, bounds[1:]):
             first = max(lo, 1)  # block 0 stays in place
-            built = self._memory[1:1 + hi - first]
+            built = self._blockwise[1:1 + hi - first]
             self._memory_blocks(first, hi, built)
-            m = (self._memory[:hi] if lo == 0 else built).reshape(-1, n * n)
-            self._pivot[lo * h:hi * h] = m[:, pos]
+            m = self._blockwise[:hi] if lo == 0 else built
+            np.copyto(self._pivot[lo * h:hi * h].reshape(-1, h), m[:, :, p, p])
             assemble_constrained_system(m, self.spec, q_hist[lo * h:hi * h], self.k_orb,
                                         out=self._a[lo * k2:hi * k2])
         return self._a, self._constrained_rhs(q_hist)
 
     def _constrained_rhs(self, q_hist: np.ndarray) -> np.ndarray:
-        """b of `_constrained_system` for the M of the last fresh step."""
-        if not self._chunked:
-            return constrained_rhs(self._memory_matrix(), self.spec, q_hist, self.k_orb)
-        return _pivot_rhs(self._pivot, self.spec, q_hist, self.k_orb)
+        """b of `_constrained_system` for the M of the last fresh step, from
+        the pivot column that step kept."""
+        return _pivot_rhs(self._pivot, self.spec, q_hist, self._rhs_rows)
 
     def _advance_memory(self, e: np.ndarray):
         """Carry the memory state from t to t + dt with E = e.  At stride 1
         the stack slides, X_{j+1} <- E X_j E^dagger for j < ell (X_0 stays
-        B~), by two GEMMs over all blocks: E^dagger acts on the contiguous
-        last index; for E the rows of every block are moved outermost into
-        blocks 1..ell (free once X_j E^dagger is in `_work`), multiplied and
-        moved back.  At stride > 1 the products C_m are extended, and the
-        stack is rebuilt from them.  An overflow shows as a non-finite M."""
-        n, tail = self.n_c, self._memory[1:]
+        B~), by two GEMMs on its rows: one batched GEMM multiplies each
+        row slab _memory[a, :ell] by E^dagger into `_work`, and one GEMM
+        multiplies E by all of `_work`, whose rows a are those of the result,
+        straight into blocks 1..ell.  At stride > 1 the products C_m are
+        extended, and the stack is rebuilt from them.  An overflow shows as a
+        non-finite M."""
+        n, memory = self.n_c, self._memory
         with np.errstate(over="ignore", invalid="ignore"):
             if self.cfg.stride == 1:
-                work = self._work
-                np.matmul(self._memory[:-1].reshape(-1, n), e.conj().T, out=work.reshape(-1, n))
-                np.copyto(tail.reshape(n, -1, n), work.reshape(-1, n, n).transpose(1, 0, 2))
-                np.matmul(e, tail.reshape(n, -1), out=work.reshape(n, -1))
-                np.copyto(tail.reshape(-1, n, n), work.reshape(n, -1, n).transpose(1, 0, 2))
+                work, rows = self._work, memory.reshape(n, -1)  # rows[a]: row a of each block
+                np.matmul(memory[:, :-1].reshape(work.shape), e.conj().T, out=work)
+                np.matmul(e, work.reshape(n, -1), out=rows[:, memory[0, 0].size:])
             else:
                 # C_{m+1} = E C_m, top chunk first, so that each chunk reads
                 # products that no chunk has yet overwritten; numpy copies

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmdelay import constraint_prop
-from rdmdelay.ci_model import FieldProfile, build_B
+from rdmdelay.ci_model import CiSystem, FieldProfile, build_B, one_electron_index_map
 from rdmdelay.constraint_prop import (
     ConstraintSpec,
     DelayPropagator,
@@ -607,6 +607,95 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+class _BlockMajorPropagator(DelayPropagator):
+    """Reference for stride 1: the stack kept block by block, C-ordered, as
+    the engine kept it before its rows went outermost.  The first stack is
+    built in place, X_0 C_j^dagger and then C_j times it; the slide is two
+    GEMMs through the scratch with two transposing copies, moving the rows
+    of every block outermost for the left product by E and back; the
+    system is gathered from the stack's C-ordered float view."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        n, h, ell = self.n_c, len(self._rows), self.cfg.ell
+        self._ref_stack = np.empty((ell + 1, h, n, n), dtype=complex)
+        self._ref_stack[0] = self._blockwise[0]
+        self._ref_work = np.empty((ell, h * n, n), dtype=complex)
+
+    def _stack(self):
+        if not self._stack_current:
+            n, h = self.n_c, len(self._rows)
+            for lo in range(1, self.cfg.ell + 1, constraint_prop._REBUILD_CHUNK):
+                out = self._ref_stack[lo:lo + constraint_prop._REBUILD_CHUNK]
+                c = self._cprods[lo - 1:lo - 1 + len(out)]
+                np.matmul(self._ref_stack[0].reshape(h * n, n), c.conj().transpose(0, 2, 1),
+                          out=out.reshape(-1, h * n, n))
+                np.matmul(c[:, None], out, out=out)
+            self._stack_current = True
+        return self._ref_stack
+
+    def _advance_memory(self, e):
+        n, tail, work = self.n_c, self._ref_stack[1:], self._ref_work
+        np.matmul(self._ref_stack[:-1].reshape(-1, n), e.conj().T, out=work.reshape(-1, n))
+        np.copyto(tail.reshape(n, -1, n), work.reshape(-1, n, n).transpose(1, 0, 2))
+        np.matmul(e, tail.reshape(n, -1), out=work.reshape(n, -1))
+        np.copyto(tail.reshape(-1, n, n), work.reshape(n, -1, n).transpose(1, 0, 2))
+
+
+def _crit8_system():
+    """Criterion 8's system: configuration 3 never couples, so row and
+    column 3 of P stay zero."""
+    local = np.random.default_rng(2)
+    h0 = np.sort(local.standard_normal(4) * 2.0)
+    m_dip = local.standard_normal((4, 4)) + 1j * local.standard_normal((4, 4))
+    m_dip = m_dip + m_dip.conj().T
+    m_dip[3, :] = m_dip[:, 3] = 0.0
+    return CiSystem(n_electrons=2, n_orbitals=2, c_matrix=np.eye(4, dtype=complex),
+                    index_map=one_electron_index_map(2), h0_diag=h0, m_dip=m_dip,
+                    field=FieldProfile(amplitude=0.5, omega=0.9, cycles=5))
+
+
+# Criterion 5's system past its field cutoff (step 423), so that the last
+# ~600 steps reuse a solve; the raw mode; ell 0, where nothing slides;
+# criterion 8's declared zeros; and N_C = 16, K = 4 at ell 8
+@pytest.mark.parametrize("system, dt, ell, mode, zeros, n_delay", [
+    ("crit5", 0.08268, 20, "constrained", False, 1000),
+    ("crit5", 0.08268, 20, "raw", False, 200),
+    ("crit5", 0.08268, 0, "constrained", False, 30),
+    ("crit8", 0.08268, 8, "constrained", True, 292),
+    ("nc16", 0.008268, 8, "constrained", False, 6),
+], ids=["crit5-ell20-long", "raw-ell20", "ell0", "crit8-zero3", "nc16-ell8"])
+def test_rows_outermost_stack_matches_the_block_major_slide(system, dt, ell, mode, zeros,
+                                                             n_delay):
+    # the same products on a stack of another layout: BLAS must round each
+    # entry the same whatever the leading dimensions, so M, A, b and Q keep
+    # every bit at every step
+    if system == "crit8":
+        s = _crit8_system()
+    elif system == "crit5":
+        s = generate_synthetic_system(4, 2, seed=3, h0_scale=2.0)
+    else:
+        s = generate_synthetic_system(16, 4, seed=5, h0_scale=10.0)
+    b = build_B(s)
+    spec = ConstraintSpec(s.n_configs, zero_pairs={(3, j) for j in range(4)} if zeros else ())
+    cfg = DelayConfig(ell=ell)
+    q_true = reduced_density_series(propagate_coefficients(s, dt, cfg.depth + n_delay), b)
+    fast = DelayPropagator(s, b, cfg, dt, mode=mode, spec=spec)
+    ref = _BlockMajorPropagator(s, b, cfg, dt, mode=mode, spec=spec)
+    for prop in (fast, ref):
+        prop.warm_start([q_true[j] for j in range(cfg.depth + 1)])
+    for _ in range(n_delay):
+        q_hist = fast._stacked_history().copy()
+        assert _same_bits(fast._memory_matrix(), ref._memory_matrix())
+        assert _same_bits(fast.step(), ref.step())
+        if mode == "constrained":
+            assert _same_bits(fast._a, ref._a)
+            assert _same_bits(fast._constrained_rhs(q_hist), ref._constrained_rhs(q_hist))
+    assert [r.csv_row() for r in fast.records] == [r.csv_row() for r in ref.records]
+    if n_delay > 500:
+        assert fast._solved is not None  # the run ends reusing a solve
+
+
 def test_stride_above_one_rebuilds_the_stack_bitwise():
     # criterion 7's configuration at stride 8, its initial state included
     s = generate_synthetic_system(16, 4, seed=5, h0_scale=10.0)
@@ -635,6 +724,14 @@ def test_stride_above_one_rebuilds_the_stack_bitwise():
         assert _same_bits(fast._pivot, m_ref[:, fast.spec.pivot * 17])
     assert _same_bits(q_fast, q_ref)
     assert [r.csv_row() for r in fast.records] == [r.csv_row() for r in ref.records]
+    # at stride 1 the stack slides, which rounds otherwise than a rebuild
+    # from the products; the pivot column a step keeps is its own M's
+    slid = DelayPropagator(s, b, DelayConfig(ell=32, r_tol=1e-6), dt)
+    slid.warm_start([q_true[j] for j in range(33)])
+    for _ in range(n_delay):
+        m = slid._memory_matrix()
+        slid.step()
+        assert _same_bits(slid._pivot, m[:, slid.spec.pivot * 17])
 
 
 def _crit7_stride8(n_delay):
@@ -687,9 +784,49 @@ def test_strided_step_holds_no_stack_sized_scratch():
     assert kept - arrays < stack_tail / 4
     assert step_peak <= max(a_bytes, 2 * gram) + gram / 4
     # no complex array of the propagator holds the (ell + 1)-block stack
-    assert len(prop._memory) <= constraint_prop._REBUILD_CHUNK + 1
+    assert len(prop._blockwise) <= constraint_prop._REBUILD_CHUNK + 1
     assert max(x.size for x in vars(prop).values()
                if isinstance(x, np.ndarray) and x.dtype.kind == "c") < (ell + 1) * h * n2
+
+
+def test_stride_one_keeps_the_stack_and_its_slide_scratch():
+    # at stride 1 a constrained propagator keeps the stack of ell + 1 blocks,
+    # rows outermost, the scratch of its slide (`_work`, ell blocks), the
+    # products C_m (read for the first stack after a warm start), A, the
+    # history and M's pivot column.  Its gather reads the stack at float
+    # offsets kept once per shape, two arrays of A's size
+    s = generate_synthetic_system(16, 4, seed=5, h0_scale=10.0)
+    b = build_B(s)
+    dt, cfg = 0.008268, DelayConfig(ell=32, r_tol=1e-6)
+    q_true = reduced_density_series(propagate_coefficients(s, dt, cfg.depth + 2), b)
+    seed = [q_true[j] for j in range(cfg.depth + 1)]
+    warm = DelayPropagator(s, b, cfg, dt)
+    warm.warm_start(seed)
+    for _ in range(2):  # numpy's and LAPACK's first-call allocations, and the offsets
+        warm.step()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prop = DelayPropagator(s, b, cfg, dt)
+        prop.warm_start(seed)
+        prop.step()
+        prop.step()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # bytes at ell 32, stride 1, K = 4, N_C = 16, with 255 free coordinates
+    ell, h, k2, n2, n_free = 32, 10, 16, 256, 255
+    block = h * n2 * 16
+    a_bytes = (ell + 1) * k2 * n_free * 8
+    arrays = ((ell + 1) * block + ell * block + ell * n2 * 16 + a_bytes
+              + (ell + 1) * h * 16 + (ell + 1) * h * 16)
+    assert sum(x.nbytes for x in (prop._memory, prop._work, prop._cprods, prop._a,
+                                  prop._q_hist, prop._pivot)) == arrays
+    offsets = constraint_prop._strided_plan(prop.spec, 4, prop._blockwise.shape,
+                                            prop._blockwise.strides)
+    assert sum(x.nbytes for x in offsets) == 2 * a_bytes
+    # beside them B~'s kept rows and the pending diagnostics: no stack-sized array
+    assert kept - arrays < ell * block / 4
 
 
 @pytest.mark.parametrize("mode, stride, blocks", [
@@ -697,11 +834,17 @@ def test_strided_step_holds_no_stack_sized_scratch():
     ("constrained", 2, 1 + constraint_prop._REBUILD_CHUNK),
 ])
 def test_only_the_strided_constrained_mode_drops_the_stack(mode, stride, blocks):
-    # the stride-1 slide and the raw solve keep M as a stack of ell + 1 blocks
+    # the stride-1 slide and the raw solve keep M as a stack of ell + 1
+    # blocks, rows outermost; the strided constrained mode keeps block 0 and
+    # one chunk, block by block
     s = generate_synthetic_system(4, 2, seed=3)
     prop = DelayPropagator(s, build_B(s), DelayConfig(ell=12, stride=stride), 0.08268,
                            mode=mode)
-    assert len(prop._memory) == blocks
+    h = len(prop._rows)
+    assert prop._blockwise.shape == (blocks, h, 4, 4)
+    assert np.shares_memory(prop._blockwise, prop._memory)
+    assert prop._memory.shape == ((4, blocks, h, 4) if blocks == 13 else (blocks, h, 4, 4))
+    assert prop._memory.nbytes == blocks * h * 16 * 16
 
 
 def test_gram_of_the_strided_system_is_exactly_symmetric():

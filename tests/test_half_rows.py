@@ -244,6 +244,28 @@ def test_assembly_into_given_buffers_matches_fresh_arrays():
     assert np.array_equal(a_out, a) and np.array_equal(rhs_out, rhs)
 
 
+@pytest.mark.parametrize("zeros", [frozenset(), frozenset({(3, 3), (0, 2)})],
+                         ids=["default", "pivot-moved"])
+def test_assembly_reads_every_layout_of_the_blocks(zeros):
+    # a (blocks, h, N_C, N_C) M: the stack's rows-outermost layout, a view
+    # with gaps between its blocks and a Fortran-ordered copy all give the
+    # bits of the 2-D M, and a wrong block shape is refused
+    local = np.random.default_rng(5)
+    spec, k, h, blocks = ConstraintSpec(4, 1.0, zeros), 2, 3, 7
+    m = local.standard_normal((blocks * h, 16)) + 1j * local.standard_normal((blocks * h, 16))
+    q = local.standard_normal(blocks * h) + 1j * local.standard_normal(blocks * h)
+    a, rhs = assemble_constrained_system(m, spec, q, k)
+    blockwise = m.reshape(blocks, h, 4, 4)
+    rows_outermost = np.ascontiguousarray(blockwise.transpose(2, 0, 1, 3)).transpose(1, 2, 0, 3)
+    gaps = np.repeat(blockwise, 2, axis=0)[::2]
+    for layout in (rows_outermost, gaps, np.asfortranarray(blockwise)):
+        assert not layout.flags.c_contiguous and np.array_equal(layout, blockwise)
+        a_layout, rhs_layout = assemble_constrained_system(layout, spec, q, k)
+        assert a_layout.tobytes() == a.tobytes() and rhs_layout.tobytes() == rhs.tobytes()
+    with pytest.raises(ValidationError, match=r"\(7, 4, 4, 4\), expected \(blocks, 3, 4, 4\)"):
+        assemble_constrained_system(np.zeros((7, 4, 4, 4)), spec, q, k)
+
+
 def _warm_start_seed():
     system = generate_synthetic_system(4, 2, seed=3)
     b = build_B(system)

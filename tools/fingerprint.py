@@ -93,6 +93,9 @@ CONFIGS = {
     **{f"crit7-k{k}": _delay(CRIT7, DT_FINE, 32 * k + 16, 32, k, 1e-6, a0_seed=11)
        for k in (1, 2, 4)},
     "nc16-ell8-k4": _delay(CRIT7, DT_FINE, 92, 8, 4, a0_seed=11),
+    # the stride-1 slide: the long window in raw mode, and at N_C = 16
+    "nc4-ell160-raw": _delay(CRIT5, DT_FINE, 200, 160, mode="raw"),
+    "nc16-ell8-k1": _delay(CRIT7, DT_FINE, 48, 8, a0_seed=11),
     # the ell-sweep points of criteria 6 and 9
     **{f"sweep-coarse-ell{ell}": _delay(CRIT5, DT_COARSE, 2000, ell) for ell in (2, 4, 8, 16)},
     **{f"sweep-fine-ell{ell}": _delay(CRIT5, DT_FINE, 20000, ell) for ell in (20, 40, 80, 160)},
